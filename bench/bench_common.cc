@@ -182,11 +182,13 @@ std::vector<cache::CacheRes> MineCaches(
                    "profiles must hold one TableProfile per table");
   std::vector<cache::CacheRes> caches(tables);
   std::vector<Status> statuses(tables);
+  cache::GraceOptions grace;
+  grace.num_threads = num_threads;
+  const cache::GraceMiner miner(grace);
   ParallelFor(
       tables,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t t = begin; t < end; ++t) {
-          cache::GraceMiner miner;
           auto res = miner.Mine(
               workload.trace.tables[t], workload.config.rows_per_table,
               profiles != nullptr ? &(*profiles)[t] : nullptr);

@@ -127,10 +127,11 @@ core::EngineOptions PaperEngineOptions(partition::Method method,
                                        const BenchScale& scale);
 
 /// Mines GRACE cache lists once per table so multiple engine
-/// configurations can share them. Tables mine in parallel
-/// (`num_threads`: 0 = default pool, 1 = serial); results are
-/// thread-count invariant. `profiles` optionally supplies ProfileTables
-/// output so the miner skips its own per-table profiling pass.
+/// configurations can share them. Tables mine in parallel, and each
+/// miner counts and scores in parallel too (`num_threads` caps both:
+/// 0 = default pool, 1 = serial); results are thread-count invariant.
+/// `profiles` optionally supplies ProfileTables output so the miner
+/// skips its own per-table profiling pass.
 std::vector<cache::CacheRes> MineCaches(
     const Workload& workload, std::uint32_t num_threads = 0,
     const std::vector<trace::TableProfile>* profiles = nullptr);

@@ -1,11 +1,12 @@
 #include "cache/grace.h"
 
 #include <algorithm>
+#include <bit>
 #include <mutex>
-#include <unordered_map>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "common/units.h"
 #include "trace/profiler.h"
 
 namespace updlrm::cache {
@@ -19,86 +20,23 @@ namespace {
 // support by the same expected factor, preserving the ranking.
 constexpr std::size_t kMaxHotPerSample = 96;
 
-std::uint64_t PairKey(std::uint32_t a, std::uint32_t b) {
-  if (a > b) std::swap(a, b);
-  return (static_cast<std::uint64_t>(a) << 32) | b;
-}
-
-// Samples are counted in parallel shards; a per-sample seed keeps the
-// (rare) hot-item subsampling independent of both shard boundaries and
-// thread count.
+// A per-sample seed keeps the (rare) hot-item subsampling a function
+// of the sample alone, independent of how the work is split.
 std::uint64_t SubsampleSeed(std::size_t sample) {
   std::uint64_t state = 0x9e3779b97f4a7c15ULL ^ sample;
   return SplitMix64(state);
 }
 
-// Shard grain for the counting / scoring replays: big enough that the
-// per-shard hash maps amortize, small enough to load-balance.
-std::size_t ReplayGrain(std::size_t num_samples) {
-  return std::max<std::size_t>(64, num_samples / 256);
+// Shard grain for the scoring replay (samples) and the pair-count
+// pass (hot ranks): big enough that per-shard scratch amortizes,
+// small enough to load-balance.
+std::size_t ReplayGrain(std::size_t n) {
+  return std::max<std::size_t>(64, n / 256);
 }
 
-// Open-addressed pair-key -> count map (linear probing, power-of-2
-// capacity, keys stored +1 so 0 marks an empty slot). The counting
-// loop below increments one entry per hot pair per sample — with
-// std::unordered_map that is a node allocation + rehash treadmill
-// (hundreds of millions of `new`s at full trace scale); a flat table
-// makes the increment a hash + probe + add with zero per-entry
-// allocation. Counts merge by addition, so determinism is unaffected.
-class PairCounts {
- public:
-  PairCounts() { slots_.resize(kInitialSlots); }
-
-  void Add(std::uint64_t key, std::uint64_t count) {
-    if ((size_ + 1) * 10 >= slots_.size() * 7) Grow();
-    Slot& slot = FindSlot(slots_, key);
-    if (slot.key_plus_1 == 0) {
-      slot.key_plus_1 = key + 1;
-      ++size_;
-    }
-    slot.count += count;
-  }
-
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (const Slot& slot : slots_) {
-      if (slot.key_plus_1 != 0) fn(slot.key_plus_1 - 1, slot.count);
-    }
-  }
-
-  std::size_t size() const { return size_; }
-
- private:
-  static constexpr std::size_t kInitialSlots = 1 << 14;
-
-  struct Slot {
-    std::uint64_t key_plus_1 = 0;  // 0 = empty
-    std::uint64_t count = 0;
-  };
-
-  static Slot& FindSlot(std::vector<Slot>& slots, std::uint64_t key) {
-    const std::size_t mask = slots.size() - 1;
-    std::uint64_t h = key;
-    std::size_t i = SplitMix64(h) & mask;
-    while (slots[i].key_plus_1 != 0 && slots[i].key_plus_1 != key + 1) {
-      i = (i + 1) & mask;
-    }
-    return slots[i];
-  }
-
-  void Grow() {
-    std::vector<Slot> bigger(slots_.size() * 2);
-    for (const Slot& slot : slots_) {
-      if (slot.key_plus_1 == 0) continue;
-      Slot& dst = FindSlot(bigger, slot.key_plus_1 - 1);
-      dst = slot;
-    }
-    slots_ = std::move(bigger);
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t size_ = 0;
-};
+// No hot rank: returned for a cold id, and ends each sample's row of
+// hot ranks in the pair-count rows.
+constexpr std::uint32_t kNoRank = ~0U;
 
 }  // namespace
 
@@ -138,63 +76,116 @@ Result<CacheRes> GraceMiner::Mine(const trace::TableTrace& table,
   }
   const std::span<const std::uint64_t> freq(profile->freq);
 
-  // Hot set: the most frequent items with nonzero counts.
+  // Hot set: the most frequent items with nonzero counts, ranked in
+  // ascending id order so that rank order is id order.
   const std::span<const std::uint32_t> by_freq(profile->by_freq);
-  std::vector<bool> is_hot(num_items, false);
-  std::size_t hot_count = 0;
+  std::vector<std::uint32_t> hot_ids;
   for (std::uint32_t id : by_freq) {
-    if (hot_count >= options_.num_hot_items || freq[id] == 0) break;
-    is_hot[id] = true;
-    ++hot_count;
+    if (hot_ids.size() >= options_.num_hot_items || freq[id] == 0) break;
+    hot_ids.push_back(id);
+  }
+  std::sort(hot_ids.begin(), hot_ids.end());
+  const std::size_t num_hot = hot_ids.size();
+  // A hot id's rank is the number of hot ids below it: a bitset plus
+  // per-word prefix counts answer that with one popcount in 1.5 bits
+  // per item, where a per-item rank array takes 32.
+  std::vector<std::uint64_t> hot_bits(CeilDiv(num_items, 64), 0);
+  for (std::uint32_t id : hot_ids) hot_bits[id / 64] |= 1ULL << (id % 64);
+  std::vector<std::uint32_t> hot_below(hot_bits.size());
+  std::uint32_t below = 0;
+  for (std::size_t w = 0; w < hot_bits.size(); ++w) {
+    hot_below[w] = below;
+    below += static_cast<std::uint32_t>(std::popcount(hot_bits[w]));
+  }
+  const auto rank_of = [&](std::uint32_t id) {
+    const std::uint64_t word = hot_bits[id / 64];
+    const std::uint64_t bit = 1ULL << (id % 64);
+    if ((word & bit) == 0) return kNoRank;
+    return hot_below[id / 64] +
+           static_cast<std::uint32_t>(std::popcount(word & (bit - 1)));
+  };
+
+  // Each sample's hot set as ascending ranks, one kNoRank-terminated
+  // row per sample with at least one pair. Samples index in ascending
+  // id order, so the shuffle sees the same sequence it would over ids.
+  std::vector<std::uint32_t> rows;
+  std::vector<std::uint32_t> hot;
+  for (std::size_t s = 0; s < table.num_samples(); ++s) {
+    hot.clear();
+    for (std::uint32_t idx : table.Sample(s)) {
+      const std::uint32_t rank = rank_of(idx);
+      if (rank != kNoRank) hot.push_back(rank);
+    }
+    if (hot.size() < 2) continue;
+    if (hot.size() > kMaxHotPerSample) {
+      Rng subsample_rng(SubsampleSeed(s));
+      subsample_rng.Shuffle(hot);
+      hot.resize(kMaxHotPerSample);
+      std::sort(hot.begin(), hot.end());
+    }
+    rows.insert(rows.end(), hot.begin(), hot.end());
+    rows.push_back(kNoRank);
+  }
+  UPDLRM_CHECK_MSG(rows.size() < kNoRank, "pair-count rows overflow");
+
+  // Posting lists: for every occurrence of rank a, the row position
+  // just past it, where a's partners b > a start.
+  const auto has_partner = [&](std::size_t p) {
+    return rows[p] != kNoRank && rows[p + 1] != kNoRank;
+  };
+  std::vector<std::uint32_t> post_begin(num_hot + 1, 0);
+  for (std::size_t p = 0; p + 1 < rows.size(); ++p) {
+    if (has_partner(p)) ++post_begin[rows[p] + 1];
+  }
+  for (std::size_t r = 0; r < num_hot; ++r) {
+    post_begin[r + 1] += post_begin[r];
+  }
+  std::vector<std::uint32_t> tails(post_begin[num_hot]);
+  std::vector<std::uint32_t> cursor(post_begin.begin(), post_begin.end() - 1);
+  for (std::size_t p = 0; p + 1 < rows.size(); ++p) {
+    if (has_partner(p)) {
+      tails[cursor[rows[p]]++] = static_cast<std::uint32_t>(p + 1);
+    }
   }
 
-  // Pairwise co-occurrence graph over hot items, counted in parallel
-  // sample shards. Each shard fills a private map; shard maps merge
-  // into the global one by summing counts — integer addition is
-  // commutative, so the merged counts (and everything derived from
-  // them) do not depend on shard boundaries or merge order.
-  PairCounts pair_counts;
-  std::mutex merge_mu;
+  // Pairwise co-occurrence counts, one dense row per rank a: every
+  // partner b > a accumulates into a num_hot-entry counter array. Rows
+  // are disjoint, so chunks of ranks count in parallel into their own
+  // edge slot, and the sort below fixes the final order.
+  struct Edge {
+    std::uint32_t count;
+    std::uint32_t a, b;  // ranks, a < b
+  };
+  const std::size_t grain = ReplayGrain(num_hot);
+  std::vector<std::vector<Edge>> chunk_edges(CeilDiv(num_hot, grain));
   ParallelFor(
-      table.num_samples(),
+      num_hot,
       [&](std::size_t begin, std::size_t end) {
-        PairCounts local;
-        std::vector<std::uint32_t> hot_in_sample;
-        for (std::size_t s = begin; s < end; ++s) {
-          hot_in_sample.clear();
-          for (std::uint32_t idx : table.Sample(s)) {
-            if (is_hot[idx]) hot_in_sample.push_back(idx);
-          }
-          if (hot_in_sample.size() > kMaxHotPerSample) {
-            Rng subsample_rng(SubsampleSeed(s));
-            subsample_rng.Shuffle(hot_in_sample);
-            hot_in_sample.resize(kMaxHotPerSample);
-          }
-          for (std::size_t i = 0; i < hot_in_sample.size(); ++i) {
-            for (std::size_t j = i + 1; j < hot_in_sample.size(); ++j) {
-              local.Add(PairKey(hot_in_sample[i], hot_in_sample[j]), 1);
+        std::vector<std::uint32_t> count(num_hot, 0);
+        std::vector<std::uint32_t> touched;
+        std::vector<Edge>& out = chunk_edges[begin / grain];
+        for (std::size_t a = begin; a < end; ++a) {
+          for (std::uint32_t t = post_begin[a]; t < post_begin[a + 1]; ++t) {
+            for (std::size_t q = tails[t]; rows[q] != kNoRank; ++q) {
+              if (count[rows[q]]++ == 0) touched.push_back(rows[q]);
             }
           }
+          for (std::uint32_t b : touched) {
+            if (count[b] >= options_.min_pair_count) {
+              out.push_back({count[b], static_cast<std::uint32_t>(a), b});
+            }
+            count[b] = 0;
+          }
+          touched.clear();
         }
-        std::lock_guard<std::mutex> lock(merge_mu);
-        local.ForEach([&](std::uint64_t key, std::uint64_t count) {
-          pair_counts.Add(key, count);
-        });
       },
-      options_.num_threads, ReplayGrain(table.num_samples()));
+      options_.num_threads, grain);
 
   // Heaviest edges first.
-  struct Edge {
-    std::uint64_t count;
-    std::uint32_t a, b;
-  };
   std::vector<Edge> edges;
-  edges.reserve(pair_counts.size());
-  pair_counts.ForEach([&](std::uint64_t key, std::uint64_t count) {
-    if (count < options_.min_pair_count) return;
-    edges.push_back({count, static_cast<std::uint32_t>(key >> 32),
-                     static_cast<std::uint32_t>(key & 0xffffffffU)});
-  });
+  for (const std::vector<Edge>& chunk : chunk_edges) {
+    edges.insert(edges.end(), chunk.begin(), chunk.end());
+  }
   std::sort(edges.begin(), edges.end(), [](const Edge& x, const Edge& y) {
     if (x.count != y.count) return x.count > y.count;
     if (x.a != y.a) return x.a < y.a;
@@ -202,13 +193,11 @@ Result<CacheRes> GraceMiner::Mine(const trace::TableTrace& table,
   });
 
   // Greedy group growth from heavy edges.
-  std::unordered_map<std::uint32_t, std::int32_t> group_of;
+  std::vector<std::int32_t> group_of(num_hot, -1);
   std::vector<std::vector<std::uint32_t>> groups;
   for (const Edge& e : edges) {
-    const auto ita = group_of.find(e.a);
-    const auto itb = group_of.find(e.b);
-    const std::int32_t ga = ita == group_of.end() ? -1 : ita->second;
-    const std::int32_t gb = itb == group_of.end() ? -1 : itb->second;
+    const std::int32_t ga = group_of[e.a];
+    const std::int32_t gb = group_of[e.b];
     if (ga == -1 && gb == -1) {
       group_of[e.a] = static_cast<std::int32_t>(groups.size());
       group_of[e.b] = static_cast<std::int32_t>(groups.size());
@@ -229,6 +218,7 @@ Result<CacheRes> GraceMiner::Mine(const trace::TableTrace& table,
   CacheRes res;
   for (auto& group : groups) {
     std::sort(group.begin(), group.end());
+    for (std::uint32_t& item : group) item = hot_ids[item];
     res.lists.push_back(CacheList{std::move(group), 0.0});
   }
 

@@ -10,6 +10,12 @@
 // trace ("benefit" = accesses avoided when every >=2-item intersection
 // collapses to a single cached-partial-sum read). The paper notes
 // UpDLRM works with any cache-list generator; this one is ours.
+//
+// Pair counting is dense and row-wise: the hot items get ranks in
+// ascending id order, each sample's hot set is stored once as a sorted
+// row of ranks, and for every rank a the partners b > a accumulate into
+// a counter array with one slot per hot item (no hash table). Rows of
+// the count matrix are disjoint, so ranks count in parallel.
 #pragma once
 
 #include <cstdint>
@@ -31,10 +37,10 @@ struct GraceOptions {
   std::size_t max_lists = 8192;
   // Maximum items per list; capped at kMaxCacheListSize.
   std::size_t max_list_size = kMaxCacheListSize;
-  // Host threads for the per-shard pair counting and the scoring
+  // Host threads for the row-wise pair counting and the scoring
   // replay (0 = default pool, 1 = serial). Mined results are
-  // thread-count invariant: shards merge by commutative integer sums
-  // and ties break on item ids.
+  // thread-count invariant: count rows are disjoint, replay shards
+  // merge by commutative integer sums, and ties break on item ids.
   std::uint32_t num_threads = 0;
 
   Status Validate() const;

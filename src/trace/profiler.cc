@@ -68,15 +68,24 @@ double TopKAccessShare(std::span<const std::uint64_t> freq,
 std::vector<std::uint32_t> ItemsByFrequency(
     std::span<const std::uint64_t> freq) {
   // Stable descending-by-frequency == stable ascending on ~freq; the
-  // radix sort reproduces the stable_sort permutation exactly.
-  std::vector<std::uint32_t> ids(freq.size());
-  std::iota(ids.begin(), ids.end(), 0U);
-  std::vector<std::uint64_t> keys(freq.size());
+  // radix sort reproduces the stable_sort permutation exactly. Zero is
+  // the smallest frequency, so the zero-frequency ids form the tail in
+  // ascending id order and only the nonzero ids need sorting.
+  std::vector<std::uint32_t> ids;
+  ids.reserve(freq.size());
+  std::vector<std::uint64_t> keys;
+  keys.reserve(freq.size() - static_cast<std::size_t>(std::count(
+                                 freq.begin(), freq.end(), 0)));
   for (std::size_t i = 0; i < freq.size(); ++i) {
-    keys[i] = AscendingKeyFromDescendingU64(freq[i]);
+    if (freq[i] == 0) continue;
+    ids.push_back(static_cast<std::uint32_t>(i));
+    keys.push_back(AscendingKeyFromDescendingU64(freq[i]));
   }
   StableRadixSortIdsByKey(std::span<std::uint32_t>(ids),
                           std::span<std::uint64_t>(keys));
+  for (std::size_t i = 0; i < freq.size(); ++i) {
+    if (freq[i] == 0) ids.push_back(static_cast<std::uint32_t>(i));
+  }
   return ids;
 }
 

@@ -86,68 +86,75 @@ Status ShardedEngine::BuildShardInputs() {
     }
   }
 
-  // Sub-traces: each sample keeps only the shard's rows, remapped to
-  // dense local ids. Locals ascend with global row order per owner, so
-  // the remap is strictly monotone and AppendSample's sorted-unique
-  // contract is preserved.
+  // Sub-traces: one pass over each sample appends every index to its
+  // owner's buffer, remapped to the shard's dense local id (DRAM-tier
+  // rows keep their global ids: the reference serves them). Indices
+  // ascend within a sample and locals ascend with global row order per
+  // owner, so every buffer stays sorted-unique for AppendSample.
   sub_traces_.resize(shards);
   dram_traces_.assign(tables, trace::TableTrace());
-  std::vector<std::uint32_t> remapped;
   for (std::uint32_t s = 0; s < shards; ++s) {
     sub_traces_[s].items_per_table.assign(
         sub_configs_[s].table_rows.begin(),
         sub_configs_[s].table_rows.end());
     sub_traces_[s].tables.resize(tables);
   }
+  std::vector<std::vector<std::uint32_t>> remapped(shards);
+  std::vector<std::uint32_t> dram_rows;
   for (std::uint32_t t = 0; t < tables; ++t) {
     const partition::TableTierPlan& tiers = plan_.tables[t];
     for (std::size_t i = 0; i < samples; ++i) {
-      const auto idx = trace_.tables[t].Sample(i);
+      for (auto& buffer : remapped) buffer.clear();
+      dram_rows.clear();
+      for (const std::uint32_t r : trace_.tables[t].Sample(i)) {
+        const std::uint32_t owner = tiers.owner[r];
+        if (owner == partition::kHostDramShard) {
+          dram_rows.push_back(r);
+        } else {
+          remapped[owner].push_back(tiers.local[r]);
+        }
+      }
       for (std::uint32_t s = 0; s < shards; ++s) {
-        remapped.clear();
-        for (const std::uint32_t r : idx) {
-          if (tiers.owner[r] == s) remapped.push_back(tiers.local[r]);
-        }
-        sub_traces_[s].tables[t].AppendSample(remapped);
+        sub_traces_[s].tables[t].AppendSample(remapped[s]);
       }
-      remapped.clear();
-      for (const std::uint32_t r : idx) {
-        if (tiers.owner[r] == partition::kHostDramShard) {
-          remapped.push_back(r);  // global ids: served by the reference
-        }
-      }
-      dram_traces_[t].AppendSample(remapped);
+      dram_traces_[t].AppendSample(dram_rows);
     }
     dram_working_set_bytes_ += tiers.dram_rows * dim * 4ULL;
   }
 
-  // Sub-models: extract each shard's owned rows (ascending global id ==
-  // ascending local id) into a dense table with identical contents.
+  // Sub-models: one pass over each table's rows copies every owned row
+  // into its shard's dense table (ascending global id == ascending
+  // local id), so the contents are identical.
   if (model_ != nullptr) {
-    sub_models_.reserve(shards);
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      std::vector<std::shared_ptr<const dlrm::EmbeddingTable>> sub_tables;
-      sub_tables.reserve(tables);
-      for (std::uint32_t t = 0; t < tables; ++t) {
-        const partition::TableTierPlan& tiers = plan_.tables[t];
-        const dlrm::EmbeddingTable& ref = model_->table(t);
-        const std::uint64_t rows = sub_configs_[s].table_rows[t];
-        std::vector<float> data;
-        data.reserve(rows * dim);
-        for (std::uint64_t r = 0; r < tiers.owner.size(); ++r) {
-          if (tiers.owner[r] != s) continue;
-          const auto row = ref.Row(r);
-          data.insert(data.end(), row.begin(), row.end());
-        }
-        if (data.empty()) data.assign(dim, 0.0f);  // 1-row placeholder
-        auto table = dlrm::EmbeddingTable::FromData(rows, dim,
-                                                    std::move(data));
+    std::vector<std::vector<std::shared_ptr<const dlrm::EmbeddingTable>>>
+        sub_tables(shards);
+    std::vector<std::vector<float>> data(shards);
+    for (std::uint32_t t = 0; t < tables; ++t) {
+      const partition::TableTierPlan& tiers = plan_.tables[t];
+      const dlrm::EmbeddingTable& ref = model_->table(t);
+      for (std::uint32_t s = 0; s < shards; ++s) {
+        data[s].clear();
+        data[s].reserve(sub_configs_[s].table_rows[t] * dim);
+      }
+      for (std::uint64_t r = 0; r < tiers.owner.size(); ++r) {
+        const std::uint32_t owner = tiers.owner[r];
+        if (owner == partition::kHostDramShard) continue;
+        const auto row = ref.Row(r);
+        data[owner].insert(data[owner].end(), row.begin(), row.end());
+      }
+      for (std::uint32_t s = 0; s < shards; ++s) {
+        if (data[s].empty()) data[s].assign(dim, 0.0f);  // 1-row placeholder
+        auto table = dlrm::EmbeddingTable::FromData(
+            sub_configs_[s].table_rows[t], dim, std::move(data[s]));
         if (!table.ok()) return table.status();
-        sub_tables.push_back(std::make_shared<const dlrm::EmbeddingTable>(
+        sub_tables[s].push_back(std::make_shared<const dlrm::EmbeddingTable>(
             std::move(table).value()));
       }
+    }
+    sub_models_.reserve(shards);
+    for (std::uint32_t s = 0; s < shards; ++s) {
       auto sub_model = dlrm::DlrmModel::CreateWithTables(
-          sub_configs_[s], std::move(sub_tables));
+          sub_configs_[s], std::move(sub_tables[s]));
       if (!sub_model.ok()) return sub_model.status();
       sub_models_.push_back(std::move(sub_model).value());
     }

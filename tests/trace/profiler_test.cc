@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+
+#include "common/rng.h"
 
 namespace updlrm::trace {
 namespace {
@@ -79,6 +82,47 @@ TEST(ProfilerTest, ItemsByFrequencyDescendingStable) {
   EXPECT_EQ(order[1], 0u);  // ties keep id order
   EXPECT_EQ(order[2], 2u);
   EXPECT_EQ(order[3], 3u);
+}
+
+// Reference: ids stably sorted by descending frequency.
+std::vector<std::uint32_t> StableSortReference(
+    const std::vector<std::uint64_t>& freq) {
+  std::vector<std::uint32_t> ids(freq.size());
+  std::iota(ids.begin(), ids.end(), 0U);
+  std::stable_sort(ids.begin(), ids.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return freq[a] > freq[b];
+                   });
+  return ids;
+}
+
+TEST(ProfilerTest, ItemsByFrequencyMatchesStableSort) {
+  Rng rng(29);
+  const auto histogram = [&](std::size_t n, std::uint64_t max_value,
+                             double zero_share) {
+    std::vector<std::uint64_t> freq(n);
+    for (std::uint64_t& f : freq) {
+      f = rng.NextBernoulli(zero_share) ? 0 : 1 + rng.NextBounded(max_value);
+    }
+    return freq;
+  };
+  const std::vector<std::vector<std::uint64_t>> cases = {
+      {},
+      {7},
+      {0},
+      std::vector<std::uint64_t>(1000, 0),      // all zero
+      histogram(1000, 1'000'000, 0.0),          // no zeros
+      histogram(1000, 3, 0.3),                  // heavy ties
+      histogram(5000, 1ULL << 40, 0.9),         // mostly zero, wide keys
+      histogram(200'000, 50, 0.5),              // 16-bit digit path
+      histogram(70'000, 1ULL << 50, 0.0),       // 16-bit, no zeros
+  };
+  // The last two cases hold >= 2^16 nonzero ids, so the radix sort
+  // takes its 16-bit digit path.
+  for (const std::vector<std::uint64_t>& freq : cases) {
+    EXPECT_EQ(ItemsByFrequency(freq), StableSortReference(freq))
+        << "n=" << freq.size();
+  }
 }
 
 TEST(ProfilerTest, BlockCountsPreserveTotal) {

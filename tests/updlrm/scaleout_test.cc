@@ -1,11 +1,13 @@
 // ShardedEngine tests: the degenerate 1-shard fleet is the flat engine
 // bit for bit, sharded + tiered serving stays bit-exact vs the flat
-// reference, shard routing audits clean, and remote shards price their
-// cross-host ingress.
+// reference, shard sub-traces match a per-shard filter of the trace,
+// shard routing audits clean, and remote shards price their cross-host
+// ingress.
 #include "updlrm/scaleout.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -143,6 +145,58 @@ TEST(ScaleoutTest, ShardedTieredStaysBitExactVsFlat) {
   EXPECT_EQ(want->ctr, got->ctr);
   EXPECT_EQ((*sharded)->check_violations(), 0u)
       << (*sharded)->fleet_check_report().ToString();
+}
+
+TEST(ScaleoutTest, SubTracesMatchPerShardFilter) {
+  // The single-pass split must produce exactly the sub-traces that
+  // filtering every sample once per shard (the owners of tier_plan())
+  // would, and keep the fleet's pooled outputs bit-identical to flat.
+  Fixture f = MakeFixture();
+  auto system = pim::DpuSystem::Create(ShardSystem(true));
+  ASSERT_TRUE(system.ok());
+  auto flat = UpDlrmEngine::Create(f.model.get(), f.config, f.trace,
+                                   system->get(), SmallOptions());
+  ASSERT_TRUE(flat.ok());
+
+  ShardedEngineConfig fleet;
+  fleet.shard_system = ShardSystem(true);
+  fleet.tiering.num_shards = 3;
+  fleet.tiering.dram_epsilon = 0.05;
+  auto sharded = ShardedEngine::Create(f.model.get(), f.config, f.trace,
+                                       fleet, SmallOptions());
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  const partition::TierShardingPlan& plan = (*sharded)->tier_plan();
+
+  std::uint64_t dram_rows = 0;
+  for (std::uint32_t t = 0; t < f.config.num_tables; ++t) {
+    dram_rows += plan.tables[t].dram_rows;
+    for (std::uint32_t s = 0; s < (*sharded)->num_shards(); ++s) {
+      trace::TableTrace want;
+      std::vector<std::uint32_t> kept;
+      for (std::size_t i = 0; i < f.trace.num_samples(); ++i) {
+        kept.clear();
+        for (std::uint32_t r : f.trace.tables[t].Sample(i)) {
+          if (plan.tables[t].owner[r] == s) {
+            kept.push_back(plan.tables[t].local[r]);
+          }
+        }
+        want.AppendSample(kept);
+      }
+      const trace::TableTrace& got = (*sharded)->shard(s).trace().tables[t];
+      ASSERT_EQ(got.num_samples(), want.num_samples());
+      EXPECT_EQ(got.MeasuredAvgReduction(), want.MeasuredAvgReduction());
+      EXPECT_TRUE(std::ranges::equal(got.offsets(), want.offsets()));
+      EXPECT_TRUE(std::ranges::equal(got.indices(), want.indices()));
+    }
+  }
+  EXPECT_GT(dram_rows, 0u);  // the DRAM buffer took part in the split
+
+  auto want = (*flat)->RunBatch({0, 96}, &f.dense);
+  auto got = (*sharded)->RunBatch({0, 96}, &f.dense);
+  ASSERT_TRUE(want.ok());
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(want->pooled, got->pooled);
+  EXPECT_EQ(want->ctr, got->ctr);
 }
 
 TEST(ScaleoutTest, RunAllMatchesBatchedFlatFunctional) {
