@@ -29,7 +29,6 @@ namespace {
 partition::PartitionPlan CacheObliviousPlan(
     partition::PartitionPlan nu_plan, const cache::CacheRes& res) {
   nu_plan.cache = res;
-  nu_plan.item_list = res.BuildItemToList(nu_plan.geom.table.rows);
   nu_plan.list_bin.clear();
   const std::uint32_t bins = nu_plan.geom.row_shards;
   const std::uint64_t per_bin_budget =
@@ -47,6 +46,8 @@ partition::PartitionPlan CacheObliviousPlan(
     nu_plan.list_bin.push_back(static_cast<std::int32_t>(bin));
     for (std::uint32_t item : list.items) nu_plan.row_bin[item] = bin;
   }
+  const Status routed = nu_plan.BuildRoute();
+  UPDLRM_CHECK_MSG(routed.ok(), routed.ToString());
   return nu_plan;
 }
 

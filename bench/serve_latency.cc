@@ -49,6 +49,19 @@ int main(int argc, char** argv) {
   timer.BeginPhase("setup");
   const auto& spec = trace::Table1Workloads()[0];  // clo
   const bench::Workload w = bench::PrepareWorkload(spec, scale);
+  // Profile and mine once: every engine below and the health monitor's
+  // drift baseline share them instead of re-sorting each table.
+  const std::vector<trace::TableProfile> profiles =
+      bench::ProfileTables(w, scale.threads);
+  const std::vector<cache::CacheRes> caches =
+      bench::MineCaches(w, scale.threads, &profiles);
+  auto engine_options = [&](partition::Method method) {
+    core::EngineOptions options =
+        bench::PaperEngineOptions(method, 0, scale);
+    options.preprofiled = &profiles;
+    options.premined_cache = &caches;
+    return options;
+  };
   const double load_factors[] = {0.5, 0.8, 1.0, 1.2, 1.5, 2.0};
 
   TablePrinter out({"method", "load", "offered qps", "p50 (us)",
@@ -68,8 +81,7 @@ int main(int argc, char** argv) {
       timer.BeginPhase("setup");
       auto system = bench::MakePaperSystem();
       auto engine = core::UpDlrmEngine::Create(
-          nullptr, w.config, w.trace, system.get(),
-          bench::PaperEngineOptions(method, 0, scale));
+          nullptr, w.config, w.trace, system.get(), engine_options(method));
       UPDLRM_CHECK_MSG(engine.ok(), engine.status().ToString());
 
       // Calibrate: one offline pass gives the per-batch stage profile.
@@ -115,7 +127,8 @@ int main(int argc, char** argv) {
         if (method == partition::Method::kCacheAware && load == 1.0) {
           trace_session.emplace(scale);
           monitor = bench::MakeFleetMonitor(
-              w, scale, slo_ns, pim::DpuSystemConfig{}.dpus_per_rank);
+              w, scale, slo_ns, pim::DpuSystemConfig{}.dpus_per_rank,
+              /*units_per_shard=*/0, &profiles);
           options.monitor = monitor.get();
         }
         auto result =
@@ -166,8 +179,7 @@ int main(int argc, char** argv) {
     auto system = bench::MakePaperSystem();
     auto engine = core::UpDlrmEngine::Create(
         nullptr, w.config, w.trace, system.get(),
-        bench::PaperEngineOptions(partition::Method::kCacheAware, 0,
-                                  scale));
+        engine_options(partition::Method::kCacheAware));
     UPDLRM_CHECK_MSG(engine.ok(), engine.status().ToString());
 
     timer.BeginPhase("e2e_calibrate");
@@ -254,7 +266,8 @@ int main(int argc, char** argv) {
       if (scale.e2e && load == 1.0) {
         trace_session.emplace(scale);
         monitor = bench::MakeFleetMonitor(
-            w, scale, e2e_slo_ns, pim::DpuSystemConfig{}.dpus_per_rank);
+            w, scale, e2e_slo_ns, pim::DpuSystemConfig{}.dpus_per_rank,
+            /*units_per_shard=*/0, &profiles);
         options.monitor = monitor.get();
       }
       auto result = pipeline::RunDataFlowSimulation(

@@ -39,7 +39,7 @@ void AuditPlan(const partition::PartitionPlan& plan,
   // its bin's EMT region, or (exclusively) a cache list. row_bin is a
   // function row -> bin, so "non-overlapping" can only break through a
   // wrong size, an out-of-range bin, or a cached row that also claims
-  // an EMT slot via an inconsistent item_list.
+  // an EMT slot via an inconsistent route word.
   if (plan.row_bin.size() != rows) {
     report->AddViolation(Rule::kPlanCoverage,
                          tag + ": row_bin covers " +
@@ -62,22 +62,22 @@ void AuditPlan(const partition::PartitionPlan& plan,
     }
   }
 
-  // --- Cache co-location and item/list consistency. Each list lives
-  // in one bin; the reverse item_list map must agree with the lists so
-  // routing reads the subset sum from the bin that stores it.
+  // --- Cache co-location and route-word consistency. Each list lives
+  // in one bin; every row's route word must be what routing needs: a
+  // list member's word names its (list, position) so the subset-sum
+  // mask bit is right, any other row's word is its bin.
   const std::size_t num_lists = plan.cache.lists.size();
   if (plan.has_cache()) {
-    if (plan.list_bin.size() != num_lists ||
-        plan.item_list.size() != rows) {
+    if (plan.list_bin.size() != num_lists || plan.route.size() != rows) {
       report->AddViolation(
           Rule::kCacheColocation,
-          tag + ": list_bin/item_list sized " +
+          tag + ": list_bin/route sized " +
               std::to_string(plan.list_bin.size()) + "/" +
-              std::to_string(plan.item_list.size()) + ", want " +
+              std::to_string(plan.route.size()) + ", want " +
               std::to_string(num_lists) + "/" + std::to_string(rows));
       return;
     }
-    std::vector<std::int32_t> derived(rows, -1);
+    std::vector<std::uint32_t> derived(plan.row_bin);
     for (std::size_t l = 0; l < num_lists; ++l) {
       if (plan.list_bin[l] < 0 ||
           static_cast<std::uint32_t>(plan.list_bin[l]) >=
@@ -89,7 +89,9 @@ void AuditPlan(const partition::PartitionPlan& plan,
         capacity_auditable = false;
         continue;
       }
-      for (const std::uint32_t item : plan.cache.lists[l].items) {
+      const auto& items = plan.cache.lists[l].items;
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        const std::uint32_t item = items[i];
         if (item >= rows) {
           report->AddViolation(Rule::kCacheColocation,
                                tag + ": cache list " + std::to_string(l) +
@@ -98,28 +100,40 @@ void AuditPlan(const partition::PartitionPlan& plan,
                                    " outside the table");
           continue;
         }
-        if (derived[item] != -1) {
+        if (partition::IsListRoute(derived[item])) {
           report->AddViolation(
               Rule::kPlanCoverage,
               tag + ": row " + std::to_string(item) +
                   " appears in cache lists " +
-                  std::to_string(derived[item]) + " and " +
-                  std::to_string(l) + " (two homes)");
+                  std::to_string(partition::RouteList(derived[item])) +
+                  " and " + std::to_string(l) + " (two homes)");
         }
-        derived[item] = static_cast<std::int32_t>(l);
+        derived[item] = partition::ListRouteWord(
+            static_cast<std::uint32_t>(l), static_cast<std::uint32_t>(i));
       }
     }
+    const auto describe = [](std::uint32_t word) {
+      return partition::IsListRoute(word)
+                 ? "list " + std::to_string(partition::RouteList(word)) +
+                       " position " +
+                       std::to_string(partition::RoutePos(word))
+                 : "bin " + std::to_string(word);
+    };
     for (std::uint64_t r = 0; r < rows; ++r) {
-      if (plan.item_list[r] != derived[r]) {
-        report->AddViolation(
-            Rule::kCacheColocation,
-            tag + ": item_list[" + std::to_string(r) + "] = " +
-                std::to_string(plan.item_list[r]) +
-                " disagrees with the lists (want " +
-                std::to_string(derived[r]) + ")");
+      if (plan.route[r] != derived[r]) {
+        report->AddViolation(Rule::kCacheColocation,
+                             tag + ": route[" + std::to_string(r) +
+                                 "] reads " + describe(plan.route[r]) +
+                                 ", the plan places the row at " +
+                                 describe(derived[r]));
         break;
       }
     }
+  } else if (!plan.route.empty()) {
+    report->AddViolation(Rule::kCacheColocation,
+                         tag + ": " + std::to_string(plan.route.size()) +
+                             " route words without cache lists");
+    return;
   }
 
   // --- Replicated rows must not double as cache-list members (they
@@ -131,7 +145,7 @@ void AuditPlan(const partition::PartitionPlan& plan,
                                " outside the table");
       break;
     }
-    if (!plan.item_list.empty() && plan.item_list[r] >= 0) {
+    if (plan.ListOf(r) >= 0) {
       report->AddViolation(Rule::kPlanCoverage,
                            tag + ": row " + std::to_string(r) +
                                " both replicated and cache-listed");

@@ -66,7 +66,9 @@ Result<CacheAwareResult> CacheAwarePartition(
     part_count[bin] -= list.benefit;  // line 10
   }
 
-  plan.item_list = plan.cache.BuildItemToList(geom.table.rows);
+  // List words are final here; the pass below fills every other row's
+  // bin into row_bin and its route word together.
+  UPDLRM_RETURN_IF_ERROR(plan.BuildRoute());
 
   // Lines 11-15: uncached items, most frequent first, to the bin with
   // the lowest effective load and EMT capacity left.
@@ -76,7 +78,7 @@ Result<CacheAwareResult> CacheAwarePartition(
       options.order.empty() ? std::span<const std::uint32_t>(computed_order)
                             : options.order;
   for (std::uint32_t row : order) {
-    if (plan.item_list[row] >= 0) continue;  // cache hit: already placed
+    if (plan.ListOf(row) >= 0) continue;  // cache hit: already placed
     std::int64_t best = -1;
     for (std::uint32_t b = 0; b < bins; ++b) {
       if (emt_rows[b] >= emt_row_capacity) continue;
@@ -92,6 +94,7 @@ Result<CacheAwareResult> CacheAwarePartition(
     }
     const auto bin = static_cast<std::uint32_t>(best);
     plan.row_bin[row] = bin;
+    if (!plan.route.empty()) plan.route[row] = bin;
     part_count[bin] += static_cast<double>(freq[row]);
     ++emt_rows[bin];
   }

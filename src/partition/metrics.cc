@@ -21,8 +21,7 @@ LoadReport ReplayLoads(const trace::TableTrace& table,
     touched.clear();
     for (std::uint32_t idx : table.Sample(s)) {
       UPDLRM_CHECK(idx < plan.row_bin.size());
-      const std::int32_t l =
-          cached && !plan.item_list.empty() ? plan.item_list[idx] : -1;
+      const std::int32_t l = cached ? plan.ListOf(idx) : -1;
       if (l >= 0) {
         if (!list_hit[l]) {
           list_hit[l] = true;

@@ -71,11 +71,33 @@ BinCapacity BinCapacity::FromMram(std::uint64_t mram_bytes,
                      cache_bytes};
 }
 
+Status PartitionPlan::BuildRoute() {
+  route.clear();
+  if (cache.lists.empty()) return Status::Ok();
+  if (cache.lists.size() > kMaxRouteLists) {
+    return Status::OutOfRange(std::to_string(cache.lists.size()) +
+                              " cache lists exceed the route word's " +
+                              std::to_string(kMaxRouteLists));
+  }
+  if (geom.row_shards > kListRoute) {
+    return Status::OutOfRange("bin ids do not fit the route word");
+  }
+  UPDLRM_RETURN_IF_ERROR(cache.Validate(row_bin.size()));
+  route = row_bin;
+  for (std::size_t l = 0; l < cache.lists.size(); ++l) {
+    const auto& items = cache.lists[l].items;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      route[items[i]] = ListRouteWord(static_cast<std::uint32_t>(l),
+                                      static_cast<std::uint32_t>(i));
+    }
+  }
+  return Status::Ok();
+}
+
 std::vector<std::uint64_t> PartitionPlan::EmtRowsPerBin() const {
   std::vector<std::uint64_t> rows(geom.row_shards, 0);
   for (std::uint64_t r = 0; r < row_bin.size(); ++r) {
-    const bool cached =
-        !item_list.empty() && item_list[r] >= 0;
+    const bool cached = ListOf(r) >= 0;
     const bool replicated =
         !replicated_rows.empty() &&
         std::binary_search(replicated_rows.begin(),
@@ -114,11 +136,11 @@ Status PartitionPlan::Validate(const BinCapacity& capacity) const {
         return Status::OutOfRange("cache list assigned to nonexistent bin");
       }
     }
-    if (item_list.size() != geom.table.rows) {
+    if (route.size() != geom.table.rows) {
       return Status::InvalidArgument(
-          "item_list must cover every row when caching");
+          "route must cover every row when caching");
     }
-  } else if (!list_bin.empty() || !cache.lists.empty()) {
+  } else if (!list_bin.empty() || !route.empty()) {
     return Status::InvalidArgument("cache metadata without cache lists");
   }
 
@@ -134,13 +156,10 @@ Status PartitionPlan::Validate(const BinCapacity& capacity) const {
     if (replicated_rows.back() >= geom.table.rows) {
       return Status::OutOfRange("replicated row beyond table");
     }
-    if (!item_list.empty()) {
-      for (std::uint32_t row : replicated_rows) {
-        if (item_list[row] >= 0) {
-          return Status::InvalidArgument(
-              "row " + std::to_string(row) +
-              " is both cached and replicated");
-        }
+    for (std::uint32_t row : replicated_rows) {
+      if (ListOf(row) >= 0) {
+        return Status::InvalidArgument(
+            "row " + std::to_string(row) + " is both cached and replicated");
       }
     }
   }

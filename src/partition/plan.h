@@ -69,6 +69,28 @@ struct BinCapacity {
                               std::uint64_t cache_bytes);
 };
 
+/// Route-word encoding (PartitionPlan::route). The position field holds
+/// an index into a list of at most kMaxCacheListSize items.
+inline constexpr std::uint32_t kListRoute = 1U << 31;
+inline constexpr std::uint32_t kRoutePosBits = 2;
+static_assert(cache::kMaxCacheListSize <= (1U << kRoutePosBits),
+              "list positions must fit the route word's position field");
+/// Lists addressable by the route word's list field.
+inline constexpr std::uint64_t kMaxRouteLists = kListRoute >> kRoutePosBits;
+
+constexpr bool IsListRoute(std::uint32_t word) {
+  return (word & kListRoute) != 0;
+}
+constexpr std::uint32_t RouteList(std::uint32_t word) {
+  return (word & ~kListRoute) >> kRoutePosBits;
+}
+constexpr std::uint32_t RoutePos(std::uint32_t word) {
+  return word & ((1U << kRoutePosBits) - 1);
+}
+constexpr std::uint32_t ListRouteWord(std::uint32_t list, std::uint32_t pos) {
+  return kListRoute | list << kRoutePosBits | pos;
+}
+
 struct PartitionPlan {
   GroupGeometry geom;
   Method method = Method::kUniform;
@@ -80,9 +102,14 @@ struct PartitionPlan {
   cache::CacheRes cache;
   /// list index -> bin.
   std::vector<std::int32_t> list_bin;
-  /// item id -> list index or -1 (derived from `cache`, kept for O(1)
-  /// routing).
-  std::vector<std::int32_t> item_list;
+  /// row id -> stage-1 route word, so routing resolves an index with
+  /// one load. A cache-list member holds
+  /// `kListRoute | list << kRoutePosBits | position` (its slot in the
+  /// list's sorted items); any other row holds its bin, equal to
+  /// row_bin[r]. Size table.rows when the plan has cache lists, empty
+  /// otherwise: routing then reads row_bin, whose words have the same
+  /// form. Built by BuildRoute() once row_bin and the lists are final.
+  std::vector<std::uint32_t> route;
 
   /// Rows replicated into every bin's replica region (sorted, unique,
   /// disjoint from cache-list members); lookups of these rows are
@@ -91,6 +118,23 @@ struct PartitionPlan {
 
   bool has_cache() const { return !cache.lists.empty(); }
   bool has_replication() const { return !replicated_rows.empty(); }
+
+  /// Cache list holding row `r`, or -1.
+  std::int32_t ListOf(std::uint64_t r) const {
+    if (route.empty() || !IsListRoute(route[r])) return -1;
+    return static_cast<std::int32_t>(RouteList(route[r]));
+  }
+
+  /// The words stage-1 routing reads: `route`, or row_bin without lists.
+  std::span<const std::uint32_t> RouteWords() const {
+    return route.empty() ? std::span<const std::uint32_t>(row_bin)
+                         : std::span<const std::uint32_t>(route);
+  }
+
+  /// Rebuilds `route` from row_bin and the cache lists (empty when there
+  /// are none). Fails on invalid lists, and when the list count or a
+  /// bin id does not fit its field of the route word (never wraps).
+  Status BuildRoute();
 
   /// Bytes of the per-bin replica region (every bin holds a copy).
   std::uint64_t ReplicaBytesPerBin() const {

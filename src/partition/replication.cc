@@ -29,9 +29,7 @@ Result<std::size_t> ApplyReplication(PartitionPlan& plan,
   for (std::uint32_t row : order) {
     if (plan.replicated_rows.size() >= top_k) break;
     if (freq[row] == 0) break;  // order is descending: all zero from here
-    const bool cached =
-        !plan.item_list.empty() && plan.item_list[row] >= 0;
-    if (cached) continue;  // cached rows already collapse into one read
+    if (plan.ListOf(row) >= 0) continue;  // cached rows: one read already
     plan.replicated_rows.push_back(row);
   }
   std::sort(plan.replicated_rows.begin(), plan.replicated_rows.end());

@@ -17,6 +17,14 @@
 
 namespace updlrm::core {
 
+namespace {
+
+// Stage-1 routing prefetches the route word of the index this many
+// positions ahead in the same sample.
+constexpr std::size_t kRoutePrefetch = 16;
+
+}  // namespace
+
 void UpDlrmEngine::BinRoute::Clear() {
   emt_slots.clear();
   cache_slots.clear();
@@ -500,7 +508,7 @@ void UpDlrmEngine::RouteGroup(std::size_t g,
   const auto& geom = group.plan.geom;
   const std::uint32_t row_bytes = geom.row_bytes();
   const auto& ttrace = trace_.tables[group.table_index];
-  const bool has_cache = group.plan.has_cache();
+  const std::uint32_t* route = group.plan.RouteWords().data();
   GroupScratch& scratch = scratch_[g];
   auto& routes = scratch.routes;
   for (auto& rt : routes) {
@@ -513,6 +521,10 @@ void UpDlrmEngine::RouteGroup(std::size_t g,
 
   // Routing: decide, per index, which bin serves it and whether a
   // cached subset sum covers it (one read per touched list, §3.3).
+  // Each index costs one load of its route word (partition/plan.h): a
+  // list word sets the row's bit in its list's subset mask, any other
+  // word is the bin. The word kRoutePrefetch indices ahead is
+  // prefetched, since the rows of a sample are scattered over the table.
   // Slot references are absolute (offset / row_bytes), so EMT, replica
   // and cache reads share one addressing scheme.
   const bool has_replicas = !group.replica_slot.empty();
@@ -523,7 +535,12 @@ void UpDlrmEngine::RouteGroup(std::size_t g,
   const std::uint64_t cache_ref_base = group.layout.cache_base / row_bytes;
   for (const std::size_t s : samples) {
     scratch.touched_lists.clear();
-    for (std::uint32_t idx : ttrace.Sample(s)) {
+    const std::span<const std::uint32_t> sample = ttrace.Sample(s);
+    for (std::size_t k = 0; k < sample.size(); ++k) {
+      if (k + kRoutePrefetch < sample.size()) {
+        __builtin_prefetch(route + sample[k + kRoutePrefetch]);
+      }
+      const std::uint32_t idx = sample[k];
       if (has_replicas && group.replica_slot[idx] != kCachedRowSlot) {
         // Adaptive routing: replicated rows exist in every bin; send
         // the lookup to the currently least-loaded one.
@@ -549,21 +566,13 @@ void UpDlrmEngine::RouteGroup(std::size_t g,
         }
         continue;
       }
-      const std::int32_t l = has_cache ? group.plan.item_list[idx] : -1;
-      if (l >= 0) {
-        if (scratch.list_mask[l] == 0) {
-          scratch.touched_lists.push_back(static_cast<std::uint32_t>(l));
-        }
-        const auto& items = group.plan.cache.lists[l].items;
-        for (std::size_t i = 0; i < items.size(); ++i) {
-          if (items[i] == idx) {
-            scratch.list_mask[l] |= 1U << i;
-            break;
-          }
-        }
+      const std::uint32_t word = route[idx];
+      if (partition::IsListRoute(word)) {
+        const std::uint32_t l = partition::RouteList(word);
+        if (scratch.list_mask[l] == 0) scratch.touched_lists.push_back(l);
+        scratch.list_mask[l] |= 1U << partition::RoutePos(word);
       } else {
-        const std::uint32_t bin = group.plan.row_bin[idx];
-        BinRoute& rt = routes[bin];
+        BinRoute& rt = routes[word];
         // WRAM-pinned rows are still read from MRAM slots by the
         // functional path (WRAM holds a copy); only the timing
         // accounting splits off, so the lever cannot change outputs.

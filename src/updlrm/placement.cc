@@ -82,8 +82,7 @@ Result<TableGroup> BuildTableGroup(std::uint32_t table_index,
     group.row_slot.assign(geom.table.rows, kCachedRowSlot);
     std::vector<std::uint32_t> next_slot(geom.row_shards, 0);
     for (std::uint64_t r = 0; r < geom.table.rows; ++r) {
-      const bool cached =
-          !group.plan.item_list.empty() && group.plan.item_list[r] >= 0;
+      const bool cached = group.plan.ListOf(r) >= 0;
       const bool replicated = !group.replica_slot.empty() &&
                               group.replica_slot[r] != kCachedRowSlot;
       if (cached || replicated) continue;
@@ -122,8 +121,7 @@ void BuildWramCache(TableGroup& group, std::span<const std::uint64_t> freq,
   std::vector<std::vector<std::uint32_t>> candidates(geom.row_shards);
   for (std::uint64_t r = 0; r < geom.table.rows; ++r) {
     if (freq[r] == 0) continue;  // never referenced: pinning is waste
-    const bool cached =
-        !group.plan.item_list.empty() && group.plan.item_list[r] >= 0;
+    const bool cached = group.plan.ListOf(r) >= 0;
     const bool replicated = !group.replica_slot.empty() &&
                             group.replica_slot[r] != kCachedRowSlot;
     if (cached || replicated) continue;

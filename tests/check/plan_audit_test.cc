@@ -56,12 +56,12 @@ TEST(PlanAuditTest, RowInTwoCacheListsFiresCoverage) {
   plan.cache.lists.push_back(cache::CacheList{{1, 2}, 10.0});
   plan.cache.lists.push_back(cache::CacheList{{2, 3}, 5.0});
   plan.list_bin = {0, 1};
-  // BuildItemToList itself aborts on overlap; hand-build the last-wins
-  // map the corrupted plan implies.
-  plan.item_list.assign(plan.geom.table.rows, -1);
-  plan.item_list[1] = 0;
-  plan.item_list[2] = 1;
-  plan.item_list[3] = 1;
+  // BuildRoute itself rejects overlap; hand-build the last-wins words
+  // the corrupted plan implies.
+  plan.route = plan.row_bin;
+  plan.route[1] = partition::ListRouteWord(0, 0);
+  plan.route[2] = partition::ListRouteWord(1, 0);
+  plan.route[3] = partition::ListRouteWord(1, 1);
   CheckReport report;
   AuditPlan(plan, AmpleLimits(), &report);
   EXPECT_GE(report.count(Rule::kPlanCoverage), 1u);
@@ -78,16 +78,70 @@ TEST(PlanAuditTest, OverfullBinFiresCapacity) {
   EXPECT_GE(report.count(Rule::kPlanCapacity), 1u);
 }
 
-// Rule: kCacheColocation — item_list disagreeing with the lists.
-TEST(PlanAuditTest, InconsistentItemListFiresColocation) {
+// A clean plan with one two-item list {1, 2} in bin 0 and a valid
+// route; the kCacheColocation fault cases below corrupt one word each.
+partition::PartitionPlan ListedPlan() {
   partition::PartitionPlan plan = SmallPlan();
   plan.cache.lists.push_back(cache::CacheList{{1, 2}, 10.0});
   plan.list_bin = {0};
-  plan.item_list = plan.cache.BuildItemToList(plan.geom.table.rows);
-  plan.item_list[5] = 0;  // row 5 claims list 0 membership it lacks
+  plan.row_bin[1] = 0;
+  plan.row_bin[2] = 0;
+  UPDLRM_CHECK(plan.BuildRoute().ok());
+  return plan;
+}
+
+std::uint64_t ColocationViolations(const partition::PartitionPlan& plan) {
   CheckReport report;
   AuditPlan(plan, AmpleLimits(), &report);
-  EXPECT_EQ(report.count(Rule::kCacheColocation), 1u);
+  return report.count(Rule::kCacheColocation);
+}
+
+TEST(PlanAuditTest, ListedPlanWithValidRouteReportsNothing) {
+  CheckReport report;
+  AuditPlan(ListedPlan(), AmpleLimits(), &report);
+  EXPECT_TRUE(report.clean()) << report.ToString();
+}
+
+// Rule: kCacheColocation — a list word naming the wrong position: the
+// subset-sum mask would set the other item's bit.
+TEST(PlanAuditTest, WrongPositionRouteWordFiresColocation) {
+  partition::PartitionPlan plan = ListedPlan();
+  plan.route[2] = partition::ListRouteWord(0, 0);
+  EXPECT_EQ(ColocationViolations(plan), 1u);
+}
+
+// Rule: kCacheColocation — a list word naming a list the row is not in.
+TEST(PlanAuditTest, WrongListRouteWordFiresColocation) {
+  partition::PartitionPlan plan = ListedPlan();
+  plan.route[5] = partition::ListRouteWord(0, 1);  // row 5 is in no list
+  EXPECT_EQ(ColocationViolations(plan), 1u);
+  plan = ListedPlan();
+  plan.route[1] = partition::ListRouteWord(1, 0);  // list 1 does not exist
+  EXPECT_EQ(ColocationViolations(plan), 1u);
+}
+
+// Rule: kCacheColocation — a bin word that disagrees with row_bin, and
+// a list member routed as a plain bin.
+TEST(PlanAuditTest, WrongBinRouteWordFiresColocation) {
+  partition::PartitionPlan plan = ListedPlan();
+  plan.route[40] = (plan.row_bin[40] + 1) % plan.geom.row_shards;
+  EXPECT_EQ(ColocationViolations(plan), 1u);
+  plan = ListedPlan();
+  plan.route[1] = plan.row_bin[1];
+  EXPECT_EQ(ColocationViolations(plan), 1u);
+}
+
+// Rule: kCacheColocation — route not covering every row, and route
+// words on a plan without lists.
+TEST(PlanAuditTest, WrongSizeRouteFiresColocation) {
+  partition::PartitionPlan plan = ListedPlan();
+  plan.route.pop_back();
+  EXPECT_EQ(ColocationViolations(plan), 1u);
+  plan.route.clear();
+  EXPECT_EQ(ColocationViolations(plan), 1u);
+  plan = SmallPlan();
+  plan.route = plan.row_bin;
+  EXPECT_EQ(ColocationViolations(plan), 1u);
 }
 
 // Rule: kCacheColocation — a list placed in a bin that does not exist.
@@ -95,7 +149,9 @@ TEST(PlanAuditTest, UnplacedListFiresColocation) {
   partition::PartitionPlan plan = SmallPlan();
   plan.cache.lists.push_back(cache::CacheList{{1, 2}, 10.0});
   plan.list_bin = {-1};
-  plan.item_list = plan.cache.BuildItemToList(plan.geom.table.rows);
+  plan.route = plan.row_bin;
+  plan.route[1] = partition::ListRouteWord(0, 0);
+  plan.route[2] = partition::ListRouteWord(0, 1);
   CheckReport report;
   AuditPlan(plan, AmpleLimits(), &report);
   EXPECT_GE(report.count(Rule::kCacheColocation), 1u);

@@ -46,11 +46,25 @@ TEST(CacheAwareTest, CachedItemsColocateWithTheirList) {
       CacheAwarePartition(Geom(100, 4), freq, TwoLists(), RoomyOptions());
   ASSERT_TRUE(result.ok());
   const auto& plan = result->plan;
+  ASSERT_EQ(plan.route.size(), plan.row_bin.size());
+  std::vector<bool> listed(plan.row_bin.size(), false);
   for (std::size_t l = 0; l < plan.cache.lists.size(); ++l) {
-    for (std::uint32_t item : plan.cache.lists[l].items) {
+    const auto& items = plan.cache.lists[l].items;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      const std::uint32_t item = items[i];
+      listed[item] = true;
       EXPECT_EQ(plan.row_bin[item],
                 static_cast<std::uint32_t>(plan.list_bin[l]));
-      EXPECT_EQ(plan.item_list[item], static_cast<std::int32_t>(l));
+      EXPECT_EQ(plan.ListOf(item), static_cast<std::int32_t>(l));
+      EXPECT_EQ(plan.route[item],
+                ListRouteWord(static_cast<std::uint32_t>(l),
+                              static_cast<std::uint32_t>(i)));
+    }
+  }
+  // Every other row's route word is its bin.
+  for (std::size_t r = 0; r < plan.row_bin.size(); ++r) {
+    if (!listed[r]) {
+      EXPECT_EQ(plan.route[r], plan.row_bin[r]) << r;
     }
   }
 }
@@ -99,7 +113,8 @@ TEST(CacheAwareTest, TightCacheCapacityDropsLists) {
   ASSERT_EQ(result->plan.cache.lists.size(), 1u);
   EXPECT_EQ(result->plan.cache.lists[0].items.size(), 2u);
   // Dropped items fall back to the EMT region.
-  EXPECT_EQ(result->plan.item_list[0], -1);
+  EXPECT_EQ(result->plan.ListOf(0), -1);
+  EXPECT_EQ(result->plan.route[0], result->plan.row_bin[0]);
 }
 
 TEST(CacheAwareTest, FailFastModeRejectsUnplaceableLists) {

@@ -126,10 +126,42 @@ TEST(PlanTest, EmtRowsPerBinCountsUncachedRows) {
   // Marking two rows of bin 0 as cached removes them from the EMT count.
   plan->cache.lists.push_back(cache::CacheList{{3, 7}, 1.0});
   plan->list_bin.push_back(0);
-  plan->item_list = plan->cache.BuildItemToList(100);
+  ASSERT_TRUE(plan->BuildRoute().ok());
   rows = plan->EmtRowsPerBin();
   EXPECT_EQ(rows[0], 48u);
   EXPECT_EQ(rows[1], 50u);
+}
+
+TEST(PlanTest, BuildRouteEncodesEveryListPosition) {
+  auto geom = GroupGeometry::Make(Shape(100, 4), 4, 2);
+  ASSERT_TRUE(geom.ok());
+  auto plan = UniformPartition(*geom);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_TRUE(plan->BuildRoute().ok());
+  EXPECT_TRUE(plan->route.empty());  // no lists: routing reads row_bin
+  EXPECT_EQ(plan->RouteWords().data(), plan->row_bin.data());
+
+  plan->cache.lists.push_back(cache::CacheList{{10, 60, 61, 99}, 2.0});
+  plan->cache.lists.push_back(cache::CacheList{{3, 7}, 1.0});
+  plan->list_bin = {1, 0};
+  ASSERT_TRUE(plan->BuildRoute().ok());
+  ASSERT_EQ(plan->route.size(), 100u);
+  const std::uint32_t items[] = {10, 60, 61, 99};
+  for (std::uint32_t pos = 0; pos < 4; ++pos) {
+    const std::uint32_t word = plan->route[items[pos]];
+    EXPECT_TRUE(IsListRoute(word));
+    EXPECT_EQ(RouteList(word), 0u);
+    EXPECT_EQ(RoutePos(word), pos);
+  }
+  EXPECT_EQ(plan->ListOf(7), 1);
+  EXPECT_EQ(RoutePos(plan->route[7]), 1u);
+  EXPECT_EQ(plan->ListOf(5), -1);
+  EXPECT_EQ(plan->route[5], plan->row_bin[5]);
+
+  // Invalid lists are rejected, not encoded.
+  plan->cache.lists.push_back(cache::CacheList{{50, 100}, 0.5});
+  plan->list_bin.push_back(0);
+  EXPECT_FALSE(plan->BuildRoute().ok());
 }
 
 }  // namespace

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <map>
 #include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "trace/generator.h"
 
 namespace updlrm::core {
@@ -529,6 +534,228 @@ TEST(EngineTest, CacheCapacityFractionShrinksCache) {
   EXPECT_LT(tiny_lists, full_lists);
   EXPECT_GT(full_lists, 0u);
 }
+
+
+// ---- Stage-1 routing against a test-local oracle. ----
+//
+// Three tables: tables 0 and 1 carry seeded random cache lists of 2-4
+// items (so every list position 0-3 occurs), table 2 has none (routing
+// then reads row_bin directly).
+
+constexpr std::uint32_t kRoutingTables = 3;
+constexpr std::size_t kRoutingSamples = 160;
+
+Fixture MakeRoutingFixture(bool functional, std::uint64_t seed) {
+  Fixture f;
+  f.config.num_tables = kRoutingTables;
+  f.config.rows_per_table = 600;
+  f.config.embedding_dim = 8;
+  f.config.dense_features = 5;
+  f.config.bottom_hidden = {16};
+  f.config.top_hidden = {16};
+  f.config.seed = seed;
+  if (functional) {
+    auto model = dlrm::DlrmModel::Create(f.config);
+    UPDLRM_CHECK(model.ok());
+    f.model = std::make_unique<dlrm::DlrmModel>(std::move(model).value());
+  }
+  trace::DatasetSpec spec;
+  spec.name = "route";
+  spec.num_items = 600;
+  spec.avg_reduction = 16.0;
+  spec.zipf_alpha = 1.1;
+  spec.rank_jitter = 0.1;
+  spec.clique_prob = 0.6;
+  spec.num_hot_items = 96;
+  spec.seed = seed;
+  trace::TraceGeneratorOptions options;
+  options.num_samples = kRoutingSamples;
+  options.num_tables = kRoutingTables;
+  auto t = trace::TraceGenerator(spec).Generate(options);
+  UPDLRM_CHECK(t.ok());
+  f.trace = std::move(t).value();
+
+  pim::DpuSystemConfig sys;
+  sys.num_dpus = 8 * kRoutingTables;  // 4 bins x 2 column shards each
+  sys.dpus_per_rank = 8;
+  sys.dpu.mram_bytes = 1 * kMiB;
+  sys.functional = functional;
+  auto system = pim::DpuSystem::Create(sys);
+  UPDLRM_CHECK(system.ok());
+  f.system = std::move(system).value();
+  return f;
+}
+
+// Disjoint lists over the table's referenced rows, sizes cycling
+// 2, 3, 4; benefits strictly descending as CacheRes requires.
+std::vector<cache::CacheRes> RandomLists(const trace::Trace& trace,
+                                         std::uint64_t seed) {
+  std::vector<cache::CacheRes> lists(kRoutingTables);
+  for (std::uint32_t t = 0; t + 1 < kRoutingTables; ++t) {
+    std::vector<std::uint32_t> rows;
+    for (std::size_t s = 0; s < trace.num_samples(); ++s) {
+      for (std::uint32_t idx : trace.tables[t].Sample(s)) {
+        rows.push_back(idx);
+      }
+    }
+    std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+    Rng rng(seed * 31 + t);
+    rng.Shuffle(rows);
+    std::size_t next = 0;
+    for (std::size_t k = 0; k < 30; ++k) {
+      const std::size_t size = 2 + k % 3;
+      if (next + size > rows.size()) break;
+      cache::CacheList list;
+      list.items.assign(rows.begin() + next, rows.begin() + next + size);
+      std::sort(list.items.begin(), list.items.end());
+      list.benefit = static_cast<double>(100 - k);
+      lists[t].lists.push_back(std::move(list));
+      next += size;
+    }
+  }
+  return lists;
+}
+
+EngineOptions RoutingOptions(const std::vector<cache::CacheRes>* lists) {
+  EngineOptions options =
+      SmallEngineOptions(partition::Method::kCacheAware, 4);
+  options.premined_cache = lists;
+  return options;
+}
+
+struct RoutingExpectation {
+  std::vector<std::uint64_t> lookups;      // per global DPU
+  std::vector<std::uint64_t> cache_reads;  // per global DPU
+  std::array<std::uint64_t, 4> position_hits{};
+};
+
+// Replays the trace from the plan's lists, list_bin and row_bin alone
+// (never the route words): each index of a list member joins its list's
+// subset mask, one cache read per touched list; any other index is one
+// EMT lookup in row_bin's bin. Every column shard of a bin does the
+// bin's work.
+RoutingExpectation RoutingOracle(const UpDlrmEngine& engine,
+                                 const trace::Trace& trace,
+                                 std::uint32_t num_dpus) {
+  RoutingExpectation want;
+  want.lookups.assign(num_dpus, 0);
+  want.cache_reads.assign(num_dpus, 0);
+  for (const TableGroup& group : engine.groups()) {
+    const partition::PartitionPlan& plan = group.plan;
+    std::map<std::uint32_t, std::pair<std::uint32_t, std::uint32_t>>
+        member;  // item -> (list, position)
+    for (std::uint32_t l = 0; l < plan.cache.lists.size(); ++l) {
+      const auto& items = plan.cache.lists[l].items;
+      for (std::uint32_t i = 0; i < items.size(); ++i) {
+        member[items[i]] = {l, i};
+      }
+    }
+    std::vector<std::uint64_t> bin_lookups(plan.geom.row_shards, 0);
+    std::vector<std::uint64_t> bin_cache(plan.geom.row_shards, 0);
+    for (std::size_t s = 0; s < trace.num_samples(); ++s) {
+      std::map<std::uint32_t, std::uint32_t> masks;
+      for (std::uint32_t idx : trace.tables[group.table_index].Sample(s)) {
+        const auto it = member.find(idx);
+        if (it == member.end()) {
+          ++bin_lookups[plan.row_bin[idx]];
+          continue;
+        }
+        masks[it->second.first] |= 1U << it->second.second;
+        ++want.position_hits[it->second.second];
+      }
+      for (const auto& [l, mask] : masks) ++bin_cache[plan.list_bin[l]];
+    }
+    for (std::uint32_t bin = 0; bin < plan.geom.row_shards; ++bin) {
+      for (std::uint32_t c = 0; c < plan.geom.col_shards; ++c) {
+        want.lookups[group.GlobalDpu(bin, c)] = bin_lookups[bin];
+        want.cache_reads[group.GlobalDpu(bin, c)] = bin_cache[bin];
+      }
+    }
+  }
+  return want;
+}
+
+class RoutingOracleTest : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(RoutingOracleTest, PerDpuCountsMatchOracle) {
+  const std::uint64_t seed = GetParam();
+  Fixture f = MakeRoutingFixture(false, seed);
+  const std::vector<cache::CacheRes> lists = RandomLists(f.trace, seed);
+  auto engine = UpDlrmEngine::Create(nullptr, f.config, f.trace,
+                                     f.system.get(), RoutingOptions(&lists));
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const auto& groups = (*engine)->groups();
+  ASSERT_EQ(groups.size(), kRoutingTables);
+  EXPECT_TRUE(groups[0].plan.has_cache());
+  EXPECT_TRUE(groups[1].plan.has_cache());
+  EXPECT_FALSE(groups[2].plan.has_cache());
+  EXPECT_TRUE(groups[2].plan.route.empty());
+
+  ASSERT_TRUE((*engine)->RunAll(nullptr).ok());
+  const RoutingExpectation want =
+      RoutingOracle(**engine, f.trace, f.system->num_dpus());
+  for (std::size_t pos = 0; pos < want.position_hits.size(); ++pos) {
+    EXPECT_GT(want.position_hits[pos], 0u) << "position " << pos;
+  }
+  std::uint64_t cache_reads = 0;
+  for (std::uint32_t d = 0; d < f.system->num_dpus(); ++d) {
+    const pim::DpuStats& st = f.system->dpu(d).stats();
+    EXPECT_EQ(st.lookups, want.lookups[d]) << "DPU " << d;
+    EXPECT_EQ(st.cache_reads, want.cache_reads[d]) << "DPU " << d;
+    cache_reads += st.cache_reads;
+  }
+  EXPECT_GT(cache_reads, 0u);
+}
+
+// Pooled outputs stay bit-exact with each routing branch's lever on:
+// the subset-sum slot a list word selects depends on its position bits.
+TEST_P(RoutingOracleTest, PooledBitExactWithEachLever) {
+  const std::uint64_t seed = GetParam();
+  for (int lever = 0; lever < 4; ++lever) {
+    Fixture f = MakeRoutingFixture(true, seed);
+    const std::vector<cache::CacheRes> lists = RandomLists(f.trace, seed);
+    EngineOptions options = RoutingOptions(&lists);
+    options.wram_cache_rows = lever == 1 ? 8 : 0;
+    options.replicate_hot_rows = lever == 2 ? 16 : 0;
+    options.dedup = lever == 3;
+    auto engine = UpDlrmEngine::Create(f.model.get(), f.config, f.trace,
+                                       f.system.get(), options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    if (lever == 1) {
+      EXPECT_FALSE((*engine)->groups()[0].wram_cached.empty());
+    }
+    if (lever == 2) {
+      EXPECT_TRUE((*engine)->groups()[0].plan.has_replication());
+    }
+
+    const std::size_t width = kRoutingTables * f.config.embedding_dim;
+    std::vector<float> expected(width);
+    for (std::size_t begin = 0; begin < kRoutingSamples; begin += 16) {
+      auto batch = (*engine)->RunBatch({begin, begin + 16}, nullptr);
+      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+      for (std::size_t s = 0; s < 16; ++s) {
+        f.model->PooledEmbeddingsFixed(f.trace, begin + s, expected);
+        for (std::size_t i = 0; i < width; ++i) {
+          ASSERT_EQ(batch->pooled[s * width + i], expected[i])
+              << "lever " << lever << " sample " << begin + s << " lane "
+              << i;
+        }
+      }
+    }
+    if (lever == 3) {
+      std::uint64_t saved = 0;
+      for (std::uint32_t d = 0; d < f.system->num_dpus(); ++d) {
+        saved += f.system->dpu(d).stats().dedup_saved_reads;
+      }
+      EXPECT_GT(saved, 0u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RoutingOracleTest,
+                         ::testing::Values(3u, 17u, 101u));
 
 }  // namespace
 }  // namespace updlrm::core
