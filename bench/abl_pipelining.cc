@@ -10,7 +10,7 @@
 
 #include "bench_common.h"
 #include "common/table.h"
-#include "serve/executor.h"
+#include "pipeline/executor.h"
 #include "updlrm/pipelining.h"
 
 int main(int argc, char** argv) {
@@ -40,11 +40,17 @@ int main(int argc, char** argv) {
     }
     const core::PipelineEstimate estimate =
         core::EstimatePipelinedEmbedding(batches);
-    // The executed double-buffered schedule (serve/executor.h), all
-    // batches available up front — the realized counterpart of the
+    // The executed double-buffered schedule: the serving executor
+    // (pipeline/executor.h) under the default plan with no dense work,
+    // all batches available up front — the realized counterpart of the
     // two-resource estimate.
-    const serve::PipelinedExecutor executed =
-        serve::ExecutePipelined(batches);
+    pipeline::DataFlowExecutor executed{pipeline::DataFlowPlan{}};
+    executed.Reserve(batches.size());
+    for (const core::StageBreakdown& stages : batches) {
+      executed.Submit(pipeline::BatchTaskCosts{.emb = stages},
+                      executed.NextAdmitTime());
+    }
+    executed.Drain();
     out.AddRow({spec.name,
                 TablePrinter::Fmt(estimate.serial_ns / 1e6, 2),
                 TablePrinter::Fmt(estimate.pipelined_ns / 1e6, 2),

@@ -10,6 +10,7 @@
 // PCIe, DPU ranks during stage-2 kernels).
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "bench_common.h"
 #include "common/table.h"
@@ -83,11 +84,12 @@ int main(int argc, char** argv) {
     const double mj_up =
         energy.MillijoulesPerInference(up_activity, scale.batch_size);
 
+    std::string saving = "-";
+    saving += TablePrinter::FmtPercent(1.0 - mj_up / mj_cpu, 0);
     out.AddRow({spec.name, TablePrinter::Fmt(mj_cpu, 2),
                 TablePrinter::Fmt(mj_hybrid, 2),
                 TablePrinter::Fmt(mj_fae, 2),
-                TablePrinter::Fmt(mj_up, 2),
-                "-" + TablePrinter::FmtPercent(1.0 - mj_up / mj_cpu, 0)});
+                TablePrinter::Fmt(mj_up, 2), saving});
   }
   out.Print(std::cout);
   std::printf(

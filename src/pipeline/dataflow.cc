@@ -12,8 +12,11 @@ std::string_view BackendName(Backend b) {
 }
 
 std::string Name(const DataFlowPlan& plan) {
-  std::string name = "d" + std::to_string(plan.depth) + ".split" +
-                     std::to_string(plan.bottom_split) + ".";
+  std::string name = "d";
+  name += std::to_string(plan.depth);
+  name += ".split";
+  name += std::to_string(plan.bottom_split);
+  name += ".";
   name += BackendName(plan.bottom);
   name += "-";
   name += BackendName(plan.top);

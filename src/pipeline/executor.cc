@@ -92,12 +92,28 @@ void DataFlowExecutor::Complete(std::size_t cls, std::size_t b, Nanos start,
   }
 }
 
+Nanos DataFlowExecutor::HostDuration(std::size_t cls,
+                                     const BatchTaskCosts& costs) {
+  switch (cls) {
+    case kS3:
+      return costs.emb.dpu_to_cpu + costs.emb.cpu_aggregate;
+    case kTop:
+      return costs.top_host();
+    case kBpost:
+      return costs.bottom_post;
+    case kBpre:
+      return costs.bottom_pre;
+  }
+  return 0.0;
+}
+
 void DataFlowExecutor::AdvanceHost(Nanos until) {
   const bool bottom_host = plan_.bottom == Backend::kCpu;
   const bool top_host = plan_.top == Backend::kCpu;
   while (true) {
     std::size_t best_cls = kNumClasses;
     Nanos best_start = std::numeric_limits<double>::infinity();
+    Nanos best_dur = 0.0;
     // Priority-ordered scan with a strict < keeps the earliest start
     // and breaks ties toward the higher-priority class.
     for (std::size_t cls = 0; cls < kNumClasses; ++cls) {
@@ -107,34 +123,22 @@ void DataFlowExecutor::AdvanceHost(Nanos until) {
       if (b >= batches_.size()) continue;
       const Nanos ready = ReadyTime(cls, b);
       if (ready < 0.0) continue;  // dependencies unresolved
-      const Nanos start = std::max(host_free_, ready);
+      // A zero-duration task takes no host time, so it never waits
+      // for the host: it completes at its ready instant.
+      const Nanos dur = HostDuration(cls, batches_[b].costs);
+      const Nanos start = dur == 0.0 ? ready : std::max(host_free_, ready);
       if (start < best_start) {
         best_start = start;
         best_cls = cls;
+        best_dur = dur;
       }
     }
     if (best_cls == kNumClasses || best_start >= until) break;
-    const std::size_t b = head_[best_cls]++;
-    const BatchTaskCosts& c = batches_[b].costs;
-    Nanos dur = 0.0;
-    switch (best_cls) {
-      case kS3:
-        dur = c.emb.dpu_to_cpu + c.emb.cpu_aggregate;
-        break;
-      case kTop:
-        dur = c.top_host();
-        break;
-      case kBpost:
-        dur = c.bottom_post;
-        break;
-      case kBpre:
-        dur = c.bottom_pre;
-        break;
-    }
-    Complete(best_cls, b, best_start, dur);
-    host_free_ = best_start + dur;
-    host_busy_ += dur;
-    if (best_cls != kS3) host_mlp_busy_ += dur;
+    Complete(best_cls, head_[best_cls]++, best_start, best_dur);
+    if (best_dur == 0.0) continue;  // the host stays where it was
+    host_free_ = best_start + best_dur;
+    host_busy_ += best_dur;
+    if (best_cls != kS3) host_mlp_busy_ += best_dur;
   }
 }
 

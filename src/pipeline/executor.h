@@ -1,8 +1,8 @@
 // Discrete-event executor of the full DLRM request path under one
-// DataFlowPlan.
+// DataFlowPlan. Every serving run goes through it: embedding-only
+// serving is the plan that places no dense work.
 //
-// Extends the embedding-only serve::PipelinedExecutor contract to the
-// dense stages. Three simulated resources:
+// Three simulated resources:
 //   * host — single resource running stage-1 pushes, stage-3 pulls +
 //     aggregation, and every CPU-placed dense task;
 //   * DPU array — stage-2 lookups, FIFO;
@@ -13,15 +13,21 @@
 // with the earliest possible start; ties break by priority class
 //   stage-1 > stage-3 > top > bottom-post > bottom-pre
 // then FIFO by batch. Stage-1 keeps the DPUs fed (scheduled directly
-// at Submit, exactly like serve::PipelinedExecutor); stage-3 completes
-// the embedding path and unblocks tops; the bottom-MLP tasks are
-// overlap filler that soaks host idle while the DPUs own the batch.
-// Within a class, ready times are monotone in batch order, so each
-// class is a FIFO queue and the schedule is independent of host thread
-// count (simulated time only).
+// at Submit); stage-3 completes the embedding path and unblocks tops;
+// the bottom-MLP tasks are overlap filler that soaks host idle while
+// the DPUs own the batch. A host task of zero duration takes no host
+// time: it completes at its ready instant and never delays or is
+// delayed by other host work. Hence a batch with zero dense costs
+// under plan `d<depth>.split0.cpu-cpu` runs exactly the double-buffered
+// embedding pipeline (done == stage-3 end). Within a class, ready
+// times are monotone in batch order, so each class is a FIFO queue and
+// the schedule is independent of host thread count (simulated time
+// only).
 //
-// Admission: `depth` MRAM buffer pairs bound the in-flight window, with
-// the same NextAdmitTime contract the batcher already speaks.
+// Admission: `depth` MRAM buffer pairs bound the in-flight window: batch
+// k may only be cut once batch k-depth's stage 2 freed its index buffer.
+// NextAdmitTime() exposes this to the batcher, which is how DPU
+// backpressure propagates to the request queue.
 #pragma once
 
 #include <cstdint>
@@ -94,6 +100,8 @@ class DataFlowExecutor {
   // Starts pending host tasks whose begin instant falls strictly
   // before `until` (a started task may overrun it).
   void AdvanceHost(Nanos until);
+  // Host time the `cls` task of a batch with `costs` takes.
+  static Nanos HostDuration(std::size_t cls, const BatchTaskCosts& costs);
   // Ready time of the head task of `cls` for batch index `b`; negative
   // when its dependencies are not yet resolved.
   Nanos ReadyTime(std::size_t cls, std::size_t b) const;

@@ -16,10 +16,14 @@ std::string CacheKey(const dlrm::DlrmConfig& config,
                      const serve::BatcherOptions& batcher,
                      bool gpu_available) {
   std::string key;
-  key += "t" + std::to_string(config.num_tables);
-  key += ".d" + std::to_string(config.embedding_dim);
-  key += ".f" + std::to_string(config.dense_features);
-  key += ".i" + std::to_string(static_cast<int>(config.interaction));
+  key += "t";
+  key += std::to_string(config.num_tables);
+  key += ".d";
+  key += std::to_string(config.embedding_dim);
+  key += ".f";
+  key += std::to_string(config.dense_features);
+  key += ".i";
+  key += std::to_string(static_cast<int>(config.interaction));
   key += ".b";
   for (const std::uint32_t w : config.bottom_hidden) {
     key += std::to_string(w) + "-";
@@ -28,7 +32,8 @@ std::string CacheKey(const dlrm::DlrmConfig& config,
   for (const std::uint32_t w : config.top_hidden) {
     key += std::to_string(w) + "-";
   }
-  key += ".n" + std::to_string(batcher.max_batch_size);
+  key += ".n";
+  key += std::to_string(batcher.max_batch_size);
   key += gpu_available ? ".gpu" : ".nogpu";
   return key;
 }

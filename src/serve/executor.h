@@ -1,38 +1,13 @@
-// Double-buffered pipelined execution of engine batches in simulated
-// time.
+// The executed embedding schedule of one served batch.
 //
-// The embedding pipeline uses two disjoint resources (Fig. 4): the host
-// + DIMM buses for stage 1 (index push), stage 3 (partial-sum pull) and
-// the CPU aggregation; the DPUs for stage 2 (lookup/reduce). With
-// double-buffered index/output regions in MRAM, batch k+1's stage-1
-// push can proceed while batch k occupies the DPUs. This module turns
-// that contract into an *executed schedule*: a discrete-event,
-// simulated-time loop over the engine's per-batch StageBreakdown
-// timings, replacing the optimistic two-resource bound of
-// `updlrm/pipelining.h` (which is validated against this executor in
-// tests/serve/executor_test.cc).
-//
-// Scheduling contract (deterministic, work-conserving):
-//   * Batches are submitted in cut order; stage 2 executes FIFO on the
-//     single DPU resource.
-//   * `depth` MRAM buffer pairs bound the in-flight window: batch k may
-//     only be *cut* (submitted) once batch k-depth's stage 2 finished
-//     and freed its index buffer — NextAdmitTime() exposes this to the
-//     batcher, which is how DPU backpressure propagates all the way to
-//     the request queue.
-//   * The host is a single resource running stage-1 and stage-3 tasks.
-//     It is work-conserving (never idles while a task is ready) and
-//     gives stage-1 priority on ties: pushing the next batch keeps the
-//     DPUs fed, which is the point of double buffering. A stage-3 task
-//     already running is never preempted.
-//
-// Everything is simulated time derived from StageBreakdown values, so
-// the schedule is bit-exact at any host thread count.
+// Serving runs every batch through pipeline::DataFlowExecutor
+// (pipeline/executor.h). Embedding-only serving is the data-flow plan
+// that places no dense work, so its schedule reduces to the three
+// embedding stages of Fig. 4 on two resources: the host + DIMM buses
+// (stage-1 index push, stage-3 partial-sum pull and CPU aggregation)
+// and the DPUs (stage-2 lookup/reduce). serve::RunServeSimulation
+// projects each executed batch into this record.
 #pragma once
-
-#include <cstdint>
-#include <span>
-#include <vector>
 
 #include "common/units.h"
 #include "updlrm/report.h"
@@ -50,61 +25,5 @@ struct ExecutedBatch {
   Nanos s3_start_ns = 0.0;  // DPU->CPU pull + CPU aggregation
   Nanos s3_end_ns = 0.0;    // batch completion
 };
-
-class PipelinedExecutor {
- public:
-  /// `depth` = number of MRAM index/output buffer pairs; 2 = the
-  /// double-buffered serving loop, 1 degenerates to serial admission.
-  explicit PipelinedExecutor(std::uint32_t depth = 2);
-
-  /// Earliest simulated instant the next batch may be cut: the buffer
-  /// window has a free slot from this time on. Monotone across Submits.
-  Nanos NextAdmitTime() const;
-
-  /// Pre-sizes the executed-schedule vector for `expected_batches`
-  /// Submits (the serving loop's requests/max_batch_size hint), so
-  /// steady-state Submit never reallocates the StageBreakdown records.
-  void Reserve(std::size_t expected_batches);
-
-  /// Submits the next batch at its cut instant (`cut_ns` must be >= the
-  /// previous cut and >= NextAdmitTime()). Finalizes the batch's
-  /// stage-1 and stage-2 schedule; stage 3 is scheduled lazily as host
-  /// time advances. Returns the batch's index.
-  std::size_t Submit(const core::StageBreakdown& stages, Nanos cut_ns);
-
-  /// Runs the host to completion (fill + drain of the tail). Call once
-  /// after the last Submit; batches() then has every stage finalized.
-  void Drain();
-
-  /// Completion time of the last batch (0 if none). Valid after Drain.
-  Nanos MakespanNs() const;
-
-  const std::vector<ExecutedBatch>& batches() const { return batches_; }
-  Nanos host_busy_ns() const { return host_busy_; }
-  Nanos dpu_busy_ns() const { return dpu_busy_; }
-  std::uint32_t depth() const { return depth_; }
-
- private:
-  // Starts every pending stage-3 task whose begin instant falls
-  // strictly before `until` (work-conserving host; a task may overrun
-  // `until` once started).
-  void AdvanceHost(Nanos until);
-
-  std::uint32_t depth_;
-  std::vector<ExecutedBatch> batches_;
-  std::size_t next_s3_ = 0;  // first batch whose stage 3 is unscheduled
-  Nanos host_free_ = 0.0;
-  Nanos dpu_free_ = 0.0;
-  Nanos last_cut_ = 0.0;
-  Nanos host_busy_ = 0.0;
-  Nanos dpu_busy_ = 0.0;
-  bool drained_ = false;
-};
-
-/// Convenience: executes a fixed batch sequence with every batch
-/// available at t = 0 (the offline-trace analogue of the serving loop,
-/// used by bench/abl_pipelining). Returns the drained executor.
-PipelinedExecutor ExecutePipelined(
-    std::span<const core::StageBreakdown> batches, std::uint32_t depth = 2);
 
 }  // namespace updlrm::serve

@@ -5,6 +5,8 @@
 #include <limits>
 #include <sstream>
 
+#include "telemetry/registry.h"
+
 namespace updlrm::serve {
 
 namespace {
@@ -98,6 +100,51 @@ std::string SloReport::ToJson() const {
      << ", \"slo_us\": " << FmtDouble(NanosToMicros(slo_ns))
      << ", \"slo_met\": " << (slo_met ? "true" : "false") << "}";
   return os.str();
+}
+
+void ServeSummary::ExportTo(telemetry::MetricsRegistry& registry,
+                            const std::string& prefix) const {
+  registry.Increment(prefix + ".offered", static_cast<double>(offered));
+  registry.Increment(prefix + ".completed",
+                     static_cast<double>(completed));
+  registry.Increment(prefix + ".shed", static_cast<double>(shed));
+  registry.Increment(prefix + ".batches",
+                     static_cast<double>(num_batches));
+  registry.Increment(prefix + ".requests_traced",
+                     static_cast<double>(requests_traced));
+  registry.Increment(prefix + ".requests_sampled_out",
+                     static_cast<double>(requests_sampled_out));
+  registry.SetGauge(prefix + ".makespan_ns", makespan_ns);
+  registry.SetGauge(prefix + ".avg_batch_size", avg_batch_size);
+  registry.SetGauge(prefix + ".max_queue_depth",
+                    static_cast<double>(max_queue_depth));
+  registry.SetGauge(prefix + ".host_utilization",
+                    utilization.HostUtilization());
+  registry.SetGauge(prefix + ".dpu_utilization",
+                    utilization.DpuUtilization());
+  for (const Nanos l : request_latency_ns) {
+    registry.Observe(prefix + ".latency_ns", l);
+  }
+}
+
+SloReport ServeSummary::MakeSloReport(double offered_qps,
+                                      Nanos slo_ns) const {
+  SloReport report;
+  report.offered_qps = offered_qps;
+  report.completed = completed;
+  report.shed = shed;
+  report.achieved_qps =
+      makespan_ns <= 0.0 ? 0.0
+                         : static_cast<double>(completed) /
+                               (makespan_ns / kNanosPerSecond);
+  report.p50_ns = latency.PercentileNs(50.0);
+  report.p95_ns = latency.PercentileNs(95.0);
+  report.p99_ns = latency.PercentileNs(99.0);
+  report.mean_ns = latency.MeanNs();
+  report.max_ns = latency.max_ns();
+  report.slo_ns = slo_ns;
+  report.slo_met = shed == 0 && report.p99_ns <= slo_ns;
+  return report;
 }
 
 double MaxSustainableQps(std::span<const RatePoint> points, Nanos slo_ns) {

@@ -18,6 +18,10 @@
 
 #include "common/units.h"
 
+namespace updlrm::telemetry {
+class MetricsRegistry;  // telemetry/registry.h
+}  // namespace updlrm::telemetry
+
 namespace updlrm::serve {
 
 /// Log-spaced fixed-bucket histogram over [1 µs, 10 s), with underflow
@@ -60,10 +64,10 @@ class LatencyHistogram {
   Nanos max_ = 0.0;
 };
 
-/// Busy fractions of the pipeline resources over the run. The
-/// embedding-only pipeline fills the first two; the full-path data-flow
-/// executor (src/pipeline) additionally splits out the host's dense-
-/// compute time and the optional GPU backend.
+/// Busy fractions of the pipeline resources over the run. Embedding-
+/// only serving fills the first two (it places no dense work); the
+/// full DLRM path additionally splits out the host's dense-compute
+/// time and the optional GPU backend.
 struct StageUtilization {
   Nanos host_busy_ns = 0.0;  // stage 1 + stage 3 + CPU aggregation
   Nanos dpu_busy_ns = 0.0;   // stage 2
@@ -111,6 +115,35 @@ struct SloReport {
 
   /// One JSON object (no trailing newline), stable key order.
   std::string ToJson() const;
+};
+
+/// The scorecard of one serving run, shared by the embedding-only
+/// (serve/server.h) and the full-path (pipeline/runner.h) results.
+struct ServeSummary {
+  LatencyHistogram latency;
+  /// Completion latency per completed request, in batch-cut order.
+  std::vector<Nanos> request_latency_ns;
+  std::uint64_t offered = 0;
+  std::uint64_t completed = 0;
+  std::uint64_t shed = 0;
+  Nanos makespan_ns = 0.0;  // last batch completion (sim starts at 0)
+  StageUtilization utilization;
+  std::vector<QueueDepthSample> queue_depth;  // post-cut depths
+  std::size_t max_queue_depth = 0;
+  std::size_t num_batches = 0;
+  double avg_batch_size = 0.0;
+  /// Request-span tracing accounting (0 unless tracing was enabled):
+  /// spans emitted vs skipped by the 1-in-N sampler — the drop is
+  /// always visible, never silent.
+  std::uint64_t requests_traced = 0;
+  std::uint64_t requests_sampled_out = 0;
+
+  /// Exports the scorecard into `registry` under "<prefix>." keys
+  /// (counters for totals, gauges for rates/latencies).
+  void ExportTo(telemetry::MetricsRegistry& registry,
+                const std::string& prefix) const;
+
+  SloReport MakeSloReport(double offered_qps, Nanos slo_ns) const;
 };
 
 /// A swept load point for capacity planning.

@@ -1,5 +1,5 @@
 // The online serving simulator: request queue -> dynamic batcher ->
-// double-buffered pipelined executor -> tail-latency metrics.
+// double-buffered pipelined execution -> tail-latency metrics.
 //
 // Drives one engine through an open-loop request stream in simulated
 // time. Arrivals enter the bounded request queue (shed-or-block
@@ -9,8 +9,12 @@
 // k+1's stage-1 push with batch k's DPU occupancy. A request's latency
 // is its batch's stage-3 completion minus its arrival.
 //
-// The whole loop runs in *simulated* time — a single logical
-// discrete-event scan over (arrival, deadline, buffer-free) instants.
+// Embedding-only serving is the full-path serving loop of
+// pipeline/runner.h under the data-flow plan that places no dense work
+// (`d<pipeline_depth>.split0.cpu-cpu` with zero dense costs), so both
+// entry points share one discrete-event scan and one executor. The
+// definitions live in the updlrm_pipeline library.
+//
 // Host threads only accelerate the engine's per-batch computation of
 // StageBreakdown values, which are thread-count invariant, so every
 // ServeResult field is bit-exact across --threads (the determinism
@@ -21,15 +25,12 @@
 #include <span>
 #include <vector>
 
-#include <string>
-
 #include "common/status.h"
 #include "serve/batcher.h"
 #include "serve/executor.h"
 #include "serve/metrics.h"
 #include "serve/workload.h"
 #include "telemetry/monitor.h"
-#include "telemetry/registry.h"
 #include "updlrm/engine.h"
 
 namespace updlrm::core {
@@ -49,42 +50,19 @@ struct ServeOptions {
   telemetry::FleetMonitor* monitor = nullptr;
 };
 
-struct ServeResult {
-  LatencyHistogram latency;
-  /// Completion latency per completed request, in completion order.
-  std::vector<Nanos> request_latency_ns;
-  std::uint64_t offered = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t shed = 0;
-  Nanos makespan_ns = 0.0;  // last batch completion (sim starts at 0)
-  StageUtilization utilization;
-  std::vector<QueueDepthSample> queue_depth;  // post-cut depths
-  std::size_t max_queue_depth = 0;
-  std::size_t num_batches = 0;
-  double avg_batch_size = 0.0;
-  /// The executed per-batch schedule (for pipelining analysis).
-  std::vector<ExecutedBatch> schedule;
-  /// Per-batch stage timings, in cut order (feed to
+struct ServeResult : ServeSummary {
+  /// The executed per-batch schedule, in cut order (`stages` feed
   /// core::EstimatePipelinedEmbedding to compare bound vs executed).
-  std::vector<core::StageBreakdown> batch_stages;
-  /// Request-span tracing accounting (0 unless tracing was enabled):
-  /// spans emitted vs skipped by the 1-in-N sampler — the drop is
-  /// always visible, never silent.
-  std::uint64_t requests_traced = 0;
-  std::uint64_t requests_sampled_out = 0;
-
-  /// Exports the scorecard into `registry` under "<prefix>." keys
-  /// (counters for totals, gauges for rates/latencies).
-  void ExportTo(telemetry::MetricsRegistry& registry,
-                const std::string& prefix) const;
-
-  SloReport MakeSloReport(double offered_qps, Nanos slo_ns) const;
+  std::vector<ExecutedBatch> schedule;
 };
 
 /// Simulates serving `requests` (time-ordered, as produced by
 /// GenerateRequests) on `engine`. The engine's batch_size option is
 /// ignored; the batcher's max_batch_size governs. Fails if a request
-/// references a sample outside the engine's trace.
+/// references a sample outside the engine's trace, and returns
+/// InvalidArgument for malformed input: non-finite or decreasing
+/// arrivals, a zero batch size or depth, or a negative or non-finite
+/// queue delay.
 Result<ServeResult> RunServeSimulation(core::UpDlrmEngine& engine,
                                        std::span<const Request> requests,
                                        const ServeOptions& options);

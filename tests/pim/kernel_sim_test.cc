@@ -98,9 +98,13 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(1u, 8u, 200ull),      // serial execution
         std::make_tuple(24u, 64u, 800ull)),   // hardware max tasklets
     [](const auto& info) {
-      return "t" + std::to_string(std::get<0>(info.param)) + "_b" +
-             std::to_string(std::get<1>(info.param)) + "_n" +
-             std::to_string(std::get<2>(info.param));
+      std::string name = "t";
+      name += std::to_string(std::get<0>(info.param));
+      name += "_b";
+      name += std::to_string(std::get<1>(info.param));
+      name += "_n";
+      name += std::to_string(std::get<2>(info.param));
+      return name;
     });
 
 TEST(KernelSimTest, MoreTaskletsNeverSlower) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -225,6 +226,51 @@ TEST(RunnerTest, RejectsRequestsOutsideTheTrace) {
   auto result = RunDataFlowSimulation(*f.engine, requests, nullptr,
                                       BaseOptions());
   EXPECT_FALSE(result.ok());
+}
+
+// The full-path entry point shares the serving loop's input check:
+// malformed input returns InvalidArgument instead of hanging or
+// aborting.
+TEST(RunnerTest, RejectsMalformedInput) {
+  Fixture f = MakeFixture(/*functional=*/false);
+  const Nanos nan = std::numeric_limits<double>::quiet_NaN();
+  const Nanos inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* name;
+    std::vector<serve::Request> requests;
+    DataFlowServeOptions options;
+  };
+  const std::vector<serve::Request> ok = {serve::Request{0, 0, 0.0},
+                                          serve::Request{1, 1, 10.0}};
+  std::vector<Case> cases;
+  cases.push_back({"nan arrival",
+                   {serve::Request{0, 0, 0.0}, serve::Request{1, 1, nan}},
+                   BaseOptions()});
+  cases.push_back(
+      {"infinite arrival", {serve::Request{0, 0, inf}}, BaseOptions()});
+  cases.push_back({"out-of-order arrivals",
+                   {serve::Request{0, 0, 10.0}, serve::Request{1, 1, 5.0}},
+                   BaseOptions()});
+  cases.push_back({"zero batch size", ok, BaseOptions()});
+  cases.back().options.batcher.max_batch_size = 0;
+  cases.push_back({"zero plan depth", ok, BaseOptions()});
+  cases.back().options.plan.depth = 0;
+  cases.push_back({"nan queue delay", ok, BaseOptions()});
+  cases.back().options.batcher.max_queue_delay_ns = nan;
+  cases.push_back({"negative queue delay", ok, BaseOptions()});
+  cases.back().options.batcher.max_queue_delay_ns = -1.0;
+  cases.push_back({"infinite queue delay", ok, BaseOptions()});
+  cases.back().options.batcher.max_queue_delay_ns = inf;
+  for (const Case& c : cases) {
+    auto result =
+        RunDataFlowSimulation(*f.engine, c.requests, nullptr, c.options);
+    ASSERT_FALSE(result.ok()) << c.name;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << c.name << ": " << result.status().ToString();
+  }
+  auto result = RunDataFlowSimulation(*f.engine, ok, nullptr, BaseOptions());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->completed, ok.size());
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "pipeline/runner.h"
 #include "serve/server.h"
 #include "telemetry/monitor.h"
 #include "trace/generator.h"
@@ -22,10 +23,13 @@ namespace {
 struct ServeRun {
   std::vector<Request> requests;
   ServeResult result;
+  /// Filled instead of `result` by a full-path (DLRM) run.
+  pipeline::DataFlowServeResult flow;
 };
 
 ServeRun RunServeAt(std::uint32_t threads,
-                    telemetry::FleetMonitor* monitor = nullptr) {
+                    telemetry::FleetMonitor* monitor = nullptr,
+                    bool full_path = false) {
   dlrm::DlrmConfig config;
   config.num_tables = 2;
   config.rows_per_table = 600;
@@ -95,6 +99,17 @@ ServeRun RunServeAt(std::uint32_t threads,
   options.batcher.queue_capacity = 24;
   options.batcher.policy = AdmissionPolicy::kShed;
   options.monitor = monitor;
+  if (full_path) {
+    pipeline::DataFlowServeOptions flow_options;
+    flow_options.batcher = options.batcher;
+    flow_options.plan.bottom_split = 1;
+    flow_options.monitor = monitor;
+    auto flow = pipeline::RunDataFlowSimulation(**engine, run.requests,
+                                                nullptr, flow_options);
+    UPDLRM_CHECK_MSG(flow.ok(), flow.status().ToString().c_str());
+    run.flow = std::move(flow).value();
+    return run;
+  }
   auto result = RunServeSimulation(**engine, run.requests, options);
   UPDLRM_CHECK_MSG(result.ok(), result.status().ToString().c_str());
   run.result = std::move(result).value();
@@ -187,6 +202,43 @@ TEST(ServeDeterminismTest, MonitorIsObservationOnlyAndThreadInvariant) {
       EXPECT_TRUE(telemetry::ValidateHealthJsonl(jsonl, 1).ok());
     } else {
       EXPECT_EQ(jsonl, serial_jsonl) << threads << " threads";
+    }
+  }
+  // One more input: the full DLRM path (pipeline::RunDataFlowSimulation)
+  // feeds the monitor from the same loop, under the same contract.
+  const ServeRun bare_flow = RunServeAt(1, nullptr, /*full_path=*/true);
+  ASSERT_GT(bare_flow.flow.num_batches, 0u);
+  std::string serial_flow_jsonl;
+  for (std::uint32_t threads : {1u, 2u, 4u}) {
+    telemetry::MonitorOptions monitor_options;
+    monitor_options.window_ns = 5.0e4;
+    monitor_options.drift.min_accesses = 1;
+    telemetry::FleetMonitor monitor(monitor_options);
+    const ServeRun run = RunServeAt(threads, &monitor, /*full_path=*/true);
+    monitor.Finalize();
+    const pipeline::DataFlowServeResult& a = run.flow;
+    const pipeline::DataFlowServeResult& b = bare_flow.flow;
+    EXPECT_EQ(a.offered, b.offered) << threads;
+    EXPECT_EQ(a.completed, b.completed) << threads;
+    EXPECT_EQ(a.shed, b.shed) << threads;
+    EXPECT_EQ(a.num_batches, b.num_batches) << threads;
+    EXPECT_EQ(a.makespan_ns, b.makespan_ns) << threads;
+    EXPECT_EQ(a.utilization.host_mlp_busy_ns, b.utilization.host_mlp_busy_ns)
+        << threads;
+    ASSERT_EQ(a.request_latency_ns, b.request_latency_ns) << threads;
+    ASSERT_EQ(a.schedule.size(), b.schedule.size());
+    for (std::size_t i = 0; i < b.schedule.size(); ++i) {
+      ASSERT_EQ(a.schedule[i].s1_start_ns, b.schedule[i].s1_start_ns);
+      ASSERT_EQ(a.schedule[i].bottom_done_ns, b.schedule[i].bottom_done_ns);
+      ASSERT_EQ(a.schedule[i].done_ns, b.schedule[i].done_ns);
+    }
+    ASSERT_GT(monitor.windows().size(), 0u) << threads;
+    const std::string jsonl = monitor.ToJsonl();
+    if (threads == 1) {
+      serial_flow_jsonl = jsonl;
+      EXPECT_TRUE(telemetry::ValidateHealthJsonl(jsonl, 1).ok());
+    } else {
+      EXPECT_EQ(jsonl, serial_flow_jsonl) << threads << " threads";
     }
   }
 }

@@ -1,11 +1,12 @@
 // End-to-end serving simulation: open-loop arrivals -> batcher ->
 // engine -> pipelined executor -> metrics, on a small timing-only
-// system.
+// system, and the rejection of malformed serving input.
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -103,7 +104,7 @@ TEST(ServerTest, LowLoadServesSingletonBatchesAtTheDeadline) {
     // Latency = batching delay + the batch's own serial embedding time
     // (the executor is idle between such widely spaced batches).
     EXPECT_NEAR(result->request_latency_ns[b],
-                1.0e6 + result->batch_stages[b].EmbeddingTotal(), 1.0)
+                1.0e6 + result->schedule[b].stages.EmbeddingTotal(), 1.0)
         << b;
   }
   // At 1% duty cycle the DPUs are mostly idle.
@@ -128,19 +129,20 @@ TEST(ServerTest, HighLoadFillsBatchesAndPipelines) {
   // Back-to-back batches: the executed makespan respects the true
   // lower bounds of any schedule for this batch sequence...
   Nanos host = 0.0, dpu = 0.0;
-  for (const auto& s : result->batch_stages) {
+  for (const auto& b : result->schedule) {
+    const core::StageBreakdown& s = b.stages;
     host += s.cpu_to_dpu + s.dpu_to_cpu + s.cpu_aggregate;
     dpu += s.dpu_lookup;
   }
-  const Nanos fill = result->batch_stages.front().cpu_to_dpu;
-  const Nanos drain = result->batch_stages.back().dpu_to_cpu +
-                      result->batch_stages.back().cpu_aggregate;
+  const Nanos fill = result->schedule.front().stages.cpu_to_dpu;
+  const Nanos drain = result->schedule.back().stages.dpu_to_cpu +
+                      result->schedule.back().stages.cpu_aggregate;
   EXPECT_GE(result->makespan_ns, host);
   EXPECT_GE(result->makespan_ns, fill + dpu + drain);
   // ...and with full batches always ready, some resource is busy from
   // the last arrival on: makespan <= arrival span + serial work.
   Nanos serial = 0.0;
-  for (const auto& s : result->batch_stages) serial += s.EmbeddingTotal();
+  for (const auto& b : result->schedule) serial += b.stages.EmbeddingTotal();
   EXPECT_LE(result->makespan_ns,
             requests.back().arrival_ns + serial + 1.0);
   // The latency histogram agrees with the raw per-request record.
@@ -167,8 +169,8 @@ TEST(ServerTest, BoundedQueueShedsUnderOverload) {
   // Admission control bounds the tail: nothing waits longer than the
   // queue delay plus the in-flight pipeline window.
   Nanos worst_batch = 0.0;
-  for (const auto& s : result->batch_stages) {
-    worst_batch = std::max(worst_batch, s.EmbeddingTotal());
+  for (const auto& b : result->schedule) {
+    worst_batch = std::max(worst_batch, b.stages.EmbeddingTotal());
   }
   EXPECT_LE(result->latency.max_ns(),
             options.batcher.max_queue_delay_ns + 3.0 * worst_batch);
@@ -201,7 +203,6 @@ TEST(ServerTest, RecordsQueueDepthTimeSeries) {
               result->queue_depth[i - 1].t_ns);
   }
   EXPECT_EQ(result->schedule.size(), result->num_batches);
-  EXPECT_EQ(result->batch_stages.size(), result->num_batches);
 }
 
 TEST(ServerTest, MakeSloReportJudgesTailAgainstSlo) {
@@ -228,6 +229,49 @@ TEST(ServerTest, RejectsRequestsOutsideTheTrace) {
   ServeOptions options;
   auto result = RunServeSimulation(*f.engine, requests, options);
   EXPECT_FALSE(result.ok());
+}
+
+// Input the discrete-event scan cannot serve returns InvalidArgument
+// instead of hanging (NaN arrival) or aborting (zero batch size or
+// depth, bad queue delay); out-of-order arrivals are rejected rather
+// than reported for an admission order that never happened.
+TEST(ServerTest, RejectsMalformedInput) {
+  Fixture f = MakeFixture();
+  const Nanos nan = std::numeric_limits<double>::quiet_NaN();
+  const Nanos inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* name;
+    std::vector<Request> requests;
+    ServeOptions options;
+  };
+  const std::vector<Request> ok = {Request{0, 0, 0.0}, Request{1, 1, 10.0}};
+  std::vector<Case> cases;
+  cases.push_back({"nan arrival", {Request{0, 0, 0.0}, Request{1, 1, nan}},
+                   ServeOptions{}});
+  cases.push_back({"infinite arrival", {Request{0, 0, inf}}, ServeOptions{}});
+  cases.push_back({"out-of-order arrivals",
+                   {Request{0, 0, 10.0}, Request{1, 1, 5.0}},
+                   ServeOptions{}});
+  cases.push_back({"zero batch size", ok, ServeOptions{}});
+  cases.back().options.batcher.max_batch_size = 0;
+  cases.push_back({"zero pipeline depth", ok, ServeOptions{}});
+  cases.back().options.pipeline_depth = 0;
+  cases.push_back({"nan queue delay", ok, ServeOptions{}});
+  cases.back().options.batcher.max_queue_delay_ns = nan;
+  cases.push_back({"negative queue delay", ok, ServeOptions{}});
+  cases.back().options.batcher.max_queue_delay_ns = -1.0;
+  cases.push_back({"infinite queue delay", ok, ServeOptions{}});
+  cases.back().options.batcher.max_queue_delay_ns = inf;
+  for (const Case& c : cases) {
+    auto result = RunServeSimulation(*f.engine, c.requests, c.options);
+    ASSERT_FALSE(result.ok()) << c.name;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << c.name << ": " << result.status().ToString();
+  }
+  // The well-formed stream still serves.
+  auto result = RunServeSimulation(*f.engine, ok, ServeOptions{});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->completed, ok.size());
 }
 
 }  // namespace
