@@ -57,37 +57,21 @@ int main(int argc, char** argv) {
     // Capacity calibration, as in serve_latency: the offered stream
     // runs at 1.0x the embedding pipeline's steady-state capacity.
     timer.BeginPhase("calibrate");
-    auto profile = (*engine)->RunAll(nullptr);
-    UPDLRM_CHECK_MSG(profile.ok(), profile.status().ToString());
-    const double nb = static_cast<double>(profile->num_batches);
-    const Nanos host_per_batch = (profile->stages.cpu_to_dpu +
-                                  profile->stages.dpu_to_cpu +
-                                  profile->stages.cpu_aggregate) /
-                                 nb;
-    const Nanos dpu_per_batch = profile->stages.dpu_lookup / nb;
-    const Nanos batch_total = profile->stages.EmbeddingTotal() / nb;
-    const double capacity_qps =
-        static_cast<double>(scale.batch_size) /
-        (std::max(host_per_batch, dpu_per_batch) / kNanosPerSecond);
+    const bench::Calibration cal =
+        bench::Calibrate(**engine, scale.batch_size);
 
     serve::ArrivalOptions arrivals;
     arrivals.process = *arrival;
-    arrivals.qps = capacity_qps;
+    arrivals.qps = cal.capacity_qps;
     arrivals.seed = scale.seed + 1;
     auto requests = serve::GenerateRequests(w.trace, 0, arrivals);
     UPDLRM_CHECK_MSG(requests.ok(), requests.status().ToString());
-
-    serve::BatcherOptions batcher;
-    batcher.max_batch_size = scale.batch_size;
-    batcher.max_queue_delay_ns = batch_total;
-    batcher.queue_capacity = 4 * scale.batch_size;
-    batcher.policy = serve::AdmissionPolicy::kShed;
 
     timer.BeginPhase("tune");
     pipeline::TunerOptions tuner_options;
     tuner_options.calibrate_top_n = 0;  // measure every candidate
     pipeline::DataFlowTuner tuner(tuner_options);
-    auto tuned = tuner.Tune(**engine, *requests, batcher);
+    auto tuned = tuner.Tune(**engine, *requests, cal.batcher);
     UPDLRM_CHECK_MSG(tuned.ok(), tuned.status().ToString());
 
     // Under --check, replay the winner with the audits attached: one
@@ -96,7 +80,7 @@ int main(int argc, char** argv) {
       timer.BeginPhase("check");
       check::CheckReport audit;
       pipeline::DataFlowServeOptions options;
-      options.batcher = batcher;
+      options.batcher = cal.batcher;
       options.plan = tuned->best;
       options.num_threads = scale.threads;
       options.audit = &audit;
@@ -143,14 +127,14 @@ int main(int argc, char** argv) {
     std::printf("# %s: tuned %s holds p99 <= all %zu static plans at "
                 "%.0f qps\n",
                 spec.name.c_str(), pipeline::Name(tuned->best).c_str(),
-                tuned->candidates.size(), capacity_qps);
+                tuned->candidates.size(), cal.capacity_qps);
 
     if (!first_entry) entries << ",\n";
     first_entry = false;
     entries << "    \"" << spec.name << "\": {\"tuned\": \""
             << pipeline::Name(tuned->best)
             << "\", \"p99_us\": " << NanosToMicros(tuned->best_p99_ns)
-            << ", \"offered_qps\": " << capacity_qps
+            << ", \"offered_qps\": " << cal.capacity_qps
             << ",\n     \"candidates\": [\n"
             << candidates.str() << "\n    ]}";
   }

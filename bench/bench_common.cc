@@ -130,44 +130,53 @@ core::EngineOptions PaperEngineOptions(partition::Method method,
   return options;
 }
 
-void AssertChecksClean(const core::UpDlrmEngine& engine,
+Calibration Calibrate(core::EmbeddingEngine& engine, std::size_t batch_size) {
+  auto profile = engine.RunAll(nullptr);
+  UPDLRM_CHECK_MSG(profile.ok(), profile.status().ToString());
+  const core::StageBreakdown& total = profile->stages;
+  const double nb = static_cast<double>(profile->num_batches);
+  const Nanos host_per_batch =
+      (total.cpu_to_dpu + total.dpu_to_cpu + total.cpu_aggregate) / nb;
+  const Nanos dpu_per_batch = total.dpu_lookup / nb;
+  Calibration cal;
+  cal.stages = {total.cpu_to_dpu / nb, total.dpu_lookup / nb,
+                total.dpu_to_cpu / nb, total.cpu_aggregate / nb};
+  cal.batch_total = total.EmbeddingTotal() / nb;
+  cal.capacity_qps =
+      static_cast<double>(batch_size) /
+      (std::max(host_per_batch, dpu_per_batch) / kNanosPerSecond);
+  cal.batcher.max_batch_size = batch_size;
+  cal.batcher.max_queue_delay_ns = cal.batch_total;
+  cal.batcher.queue_capacity = 4 * batch_size;
+  cal.batcher.policy = serve::AdmissionPolicy::kShed;
+  return cal;
+}
+
+void AssertChecksClean(const core::EmbeddingEngine& engine,
                        const std::string& label) {
-  const check::CheckReport* report = engine.check_report();
-  if (report == nullptr) return;  // checks off: nothing to gate on
-  if (report->clean()) {
+  if (!engine.options().check_mode) return;  // nothing to gate on
+  const auto* fleet = dynamic_cast<const core::ShardedEngine*>(&engine);
+  const std::uint64_t total = engine.check_violations();
+  if (total == 0) {
     std::printf("# check[%s]: clean (0 violations)\n", label.c_str());
     return;
   }
-  std::printf("# check[%s]: %s", label.c_str(),
-              report->ToString().c_str());
-  UPDLRM_CHECK_MSG(false, "hardware-contract checker reported " +
-                              std::to_string(report->total()) +
-                              " violation(s) in " + label);
-}
-
-void AssertChecksClean(const core::ShardedEngine& engine,
-                       const std::string& label) {
-  if (engine.num_shards() == 0 ||
-      engine.shard(0).check_report() == nullptr) {
-    return;  // checks off: nothing to gate on
+  if (const auto* flat = dynamic_cast<const core::UpDlrmEngine*>(&engine)) {
+    std::printf("# check[%s]: %s", label.c_str(),
+                flat->check_report()->ToString().c_str());
   }
-  const std::uint64_t total = engine.check_violations();
-  if (total == 0) {
-    std::printf("# check[%s]: clean (0 violations across %u shard(s) "
-                "and the fleet audits)\n",
-                label.c_str(), engine.num_shards());
-    return;
-  }
-  std::printf("# check[%s] fleet: %s", label.c_str(),
-              engine.fleet_check_report().ToString().c_str());
-  for (std::uint32_t s = 0; s < engine.num_shards(); ++s) {
-    const check::CheckReport* shard = engine.shard(s).check_report();
-    if (shard != nullptr && !shard->clean()) {
-      std::printf("# check[%s] shard %u: %s", label.c_str(), s,
-                  shard->ToString().c_str());
+  if (fleet != nullptr) {
+    std::printf("# check[%s] fleet: %s", label.c_str(),
+                fleet->fleet_check_report().ToString().c_str());
+    for (std::uint32_t s = 0; s < fleet->num_shards(); ++s) {
+      const check::CheckReport* shard = fleet->shard(s).check_report();
+      if (!shard->clean()) {
+        std::printf("# check[%s] shard %u: %s", label.c_str(), s,
+                    shard->ToString().c_str());
+      }
     }
   }
-  UPDLRM_CHECK_MSG(false, "fleet checker reported " +
+  UPDLRM_CHECK_MSG(false, "hardware-contract checker reported " +
                               std::to_string(total) + " violation(s) in " +
                               label);
 }

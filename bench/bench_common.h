@@ -30,16 +30,13 @@
 #include "common/cli.h"
 #include "dlrm/model.h"
 #include "pim/system.h"
+#include "serve/batcher.h"
 #include "telemetry/monitor.h"
 #include "telemetry/registry.h"
 #include "trace/dataset.h"
 #include "trace/generator.h"
 #include "trace/profiler.h"
 #include "updlrm/engine.h"
-
-namespace updlrm::core {
-class ShardedEngine;
-}  // namespace updlrm::core
 
 namespace updlrm::bench {
 
@@ -175,17 +172,28 @@ void WriteHealthArtifacts(telemetry::FleetMonitor* monitor,
 void WriteBenchHostEntry(const std::string& name,
                          const std::string& payload);
 
+/// One offline RunAll pass over the engine's trace, reduced to what
+/// the serving benches size their load sweeps with.
+struct Calibration {
+  core::StageBreakdown stages;  // mean per-batch stage times
+  Nanos batch_total = 0.0;      // mean serial embedding time of a batch
+  /// Steady-state capacity: the slower pipeline resource (host stages
+  /// 1/3 + aggregation, or the DPU kernel) turns over one batch of
+  /// `batch_size` requests per its per-batch time.
+  double capacity_qps = 0.0;
+  /// The serving benches' batcher: batches of up to `batch_size`, cut
+  /// after one mean batch time, and a queue of four batches that sheds.
+  serve::BatcherOptions batcher;
+};
+Calibration Calibrate(core::EmbeddingEngine& engine, std::size_t batch_size);
+
 /// Check-mode gate: a no-op when the engine runs without
 /// EngineOptions::check_mode; otherwise prints the violation report
 /// (prefixed with `label`) and aborts the bench on any violation, so a
-/// --check bench run doubles as a zero-violation assertion in CI.
-void AssertChecksClean(const core::UpDlrmEngine& engine,
-                       const std::string& label);
-
-/// Fleet variant: gates on the fleet-level report (shard coverage,
-/// tier capacity, reduction shape) plus every shard engine's own
-/// report. No-op when the engine was built without check_mode.
-void AssertChecksClean(const core::ShardedEngine& engine,
+/// --check bench run doubles as a zero-violation assertion in CI. On a
+/// sharded fleet it gates on the fleet-level report (shard coverage,
+/// tier capacity, reduction shape) plus every shard engine's own.
+void AssertChecksClean(const core::EmbeddingEngine& engine,
                        const std::string& label);
 
 /// RAII wall-clock self-timer. On destruction, merges

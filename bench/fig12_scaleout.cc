@@ -23,11 +23,14 @@
 // one entry per fleet size per method (max_sustainable_qps + p99 at
 // capacity). --dpus/--ranks resize one replica/shard slice (the CI
 // smoke runs a small fleet); --check gates every engine on the
-// hardware-contract + fleet auditors.
+// hardware-contract + fleet auditors; --trace-out and --health-out
+// capture one representative run (the largest CA-shard fleet on the
+// first workload at 1.0x capacity).
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -43,48 +46,22 @@ using namespace updlrm;
 constexpr std::uint32_t kReplicaCounts[] = {1, 4, 16};
 constexpr double kLoadFactors[] = {0.6, 0.8, 1.0, 1.2};
 
-struct Calibration {
-  double capacity_qps = 0.0;
-  Nanos batch_total = 0.0;
-};
-
-// One offline pass: steady-state capacity = batch_size / time of the
-// slower pipeline resource (host vs DPU), as in serve_latency.cc.
-template <typename EngineT>
-Calibration Calibrate(EngineT& engine, std::size_t batch_size) {
-  auto profile = engine.RunAll(nullptr);
-  UPDLRM_CHECK_MSG(profile.ok(), profile.status().ToString());
-  const double nb = static_cast<double>(profile->num_batches);
-  const Nanos host_per_batch =
-      (profile->stages.cpu_to_dpu + profile->stages.dpu_to_cpu +
-       profile->stages.cpu_aggregate) /
-      nb;
-  const Nanos dpu_per_batch = profile->stages.dpu_lookup / nb;
-  Calibration cal;
-  cal.batch_total = profile->stages.EmbeddingTotal() / nb;
-  cal.capacity_qps = static_cast<double>(batch_size) /
-                     (std::max(host_per_batch, dpu_per_batch) /
-                      kNanosPerSecond);
-  return cal;
-}
-
-struct LoadPoint {
-  serve::SloReport report;
-};
-
-// Serves `engine` at every load factor x its own capacity. `monitor`
-// (optional) attaches to the 1.0x-capacity run only — the same
-// representative-run convention as --trace-out in serve_latency.
-template <typename EngineT>
-std::vector<LoadPoint> Sweep(EngineT& engine, const bench::Workload& w,
-                             const bench::BenchScale& scale,
-                             serve::ArrivalProcess process,
-                             double capacity_qps, Nanos batch_total,
-                             Nanos slo_ns,
-                             telemetry::FleetMonitor* monitor = nullptr) {
-  std::vector<LoadPoint> points;
+// Serves `engine` at every load factor x its own capacity. With
+// `representative`, the 1.0x-capacity run is the one --trace-out and
+// --health-out capture: each run restarts the simulated clock at 0, so
+// one file holds exactly one run. Monitor units are global DPU ids —
+// dpus_per_rank consecutive units per rank, one system's DPUs per
+// shard.
+std::vector<serve::SloReport> Sweep(core::EmbeddingEngine& engine,
+                                    const bench::Workload& w,
+                                    const bench::BenchScale& scale,
+                                    serve::ArrivalProcess process,
+                                    const bench::Calibration& cal,
+                                    Nanos slo_ns,
+                                    bool representative = false) {
+  std::vector<serve::SloReport> points;
   for (const double load : kLoadFactors) {
-    const double qps = load * capacity_qps;
+    const double qps = load * cal.capacity_qps;
     serve::ArrivalOptions arrivals;
     arrivals.process = process;
     arrivals.qps = qps;
@@ -92,14 +69,23 @@ std::vector<LoadPoint> Sweep(EngineT& engine, const bench::Workload& w,
     auto requests = serve::GenerateRequests(w.trace, 0, arrivals);
     UPDLRM_CHECK_MSG(requests.ok(), requests.status().ToString());
     serve::ServeOptions options;
-    options.batcher.max_batch_size = scale.batch_size;
-    options.batcher.max_queue_delay_ns = batch_total;
-    options.batcher.queue_capacity = 4 * scale.batch_size;
-    options.batcher.policy = serve::AdmissionPolicy::kShed;
-    if (monitor != nullptr && load == 1.0) options.monitor = monitor;
+    options.batcher = cal.batcher;
+    std::optional<bench::TraceSession> trace_session;
+    std::unique_ptr<telemetry::FleetMonitor> monitor;
+    if (representative && load == 1.0) {
+      trace_session.emplace(scale);
+      const pim::DpuSystem& slice = engine.system(0);
+      monitor = bench::MakeFleetMonitor(w, scale, slo_ns,
+                                        slice.config().dpus_per_rank,
+                                        slice.num_dpus());
+      options.monitor = monitor.get();
+    }
     auto result = serve::RunServeSimulation(engine, *requests, options);
     UPDLRM_CHECK_MSG(result.ok(), result.status().ToString());
-    points.push_back({result->MakeSloReport(qps, slo_ns)});
+    // Health first so its counters land inside the open trace.
+    bench::WriteHealthArtifacts(monitor.get(), scale);
+    trace_session.reset();  // write + validate the trace, if tracing
+    points.push_back(result->MakeSloReport(qps, slo_ns));
   }
   return points;
 }
@@ -112,9 +98,9 @@ struct FleetResult {
 // Combines one local + (replicas - 1) remote replicas: aggregate
 // offered load splits in proportion to each replica's own capacity, so
 // fleet p99 is the slower replica's p99 and anything either replica
-// sheds counts against the fleet.
-FleetResult CombineReplicas(const std::vector<LoadPoint>& local,
-                            const std::vector<LoadPoint>& remote,
+// sheds counts against the fleet. One engine alone is replicas = 1.
+FleetResult CombineReplicas(const std::vector<serve::SloReport>& local,
+                            const std::vector<serve::SloReport>& remote,
                             std::uint32_t replicas, double cap_local,
                             double cap_remote, Nanos slo_ns) {
   std::vector<serve::RatePoint> points;
@@ -123,32 +109,16 @@ FleetResult CombineReplicas(const std::vector<LoadPoint>& local,
       cap_local + static_cast<double>(replicas - 1) * cap_remote;
   for (std::size_t i = 0; i < local.size(); ++i) {
     const double qps = kLoadFactors[i] * cap_fleet;
-    Nanos p99 = local[i].report.p99_ns;
-    std::uint64_t shed = local[i].report.shed;
+    Nanos p99 = local[i].p99_ns;
+    std::uint64_t shed = local[i].shed;
     if (replicas > 1) {
-      p99 = std::max(p99, remote[i].report.p99_ns);
-      shed += (replicas - 1) * remote[i].report.shed;
+      p99 = std::max(p99, remote[i].p99_ns);
+      shed += (replicas - 1) * remote[i].shed;
     }
     points.push_back(serve::RatePoint{qps, p99, shed});
     if (kLoadFactors[i] == 1.0) out.p99_at_capacity_ns = p99;
   }
   out.max_sustainable_qps = serve::MaxSustainableQps(points, slo_ns);
-  return out;
-}
-
-FleetResult SingleEngineResult(const std::vector<LoadPoint>& points,
-                               double capacity_qps, Nanos slo_ns) {
-  std::vector<serve::RatePoint> rate;
-  FleetResult out;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    rate.push_back(serve::RatePoint{kLoadFactors[i] * capacity_qps,
-                                    points[i].report.p99_ns,
-                                    points[i].report.shed});
-    if (kLoadFactors[i] == 1.0) {
-      out.p99_at_capacity_ns = points[i].report.p99_ns;
-    }
-  }
-  out.max_sustainable_qps = serve::MaxSustainableQps(rate, slo_ns);
   return out;
 }
 
@@ -197,7 +167,8 @@ int main(int argc, char** argv) {
           nullptr, w.config, w.trace, local_system->get(),
           bench::PaperEngineOptions(method, 0, scale));
       UPDLRM_CHECK_MSG(local.ok(), local.status().ToString());
-      const Calibration cal_local = Calibrate(**local, scale.batch_size);
+      const bench::Calibration cal_local =
+          bench::Calibrate(**local, scale.batch_size);
       if (slo_ns == 0.0) slo_ns = 3.0 * cal_local.batch_total;
 
       // Remote replica: same slice, ranks owned by another host — every
@@ -212,15 +183,13 @@ int main(int argc, char** argv) {
           nullptr, w.config, w.trace, remote_system->get(),
           bench::PaperEngineOptions(method, 0, scale));
       UPDLRM_CHECK_MSG(remote.ok(), remote.status().ToString());
-      const Calibration cal_remote =
-          Calibrate(**remote, scale.batch_size);
+      const bench::Calibration cal_remote =
+          bench::Calibrate(**remote, scale.batch_size);
 
-      const auto points_local = Sweep(**local, w, scale, *arrival,
-                                      cal_local.capacity_qps,
-                                      cal_local.batch_total, slo_ns);
-      const auto points_remote = Sweep(**remote, w, scale, *arrival,
-                                       cal_remote.capacity_qps,
-                                       cal_remote.batch_total, slo_ns);
+      const auto points_local =
+          Sweep(**local, w, scale, *arrival, cal_local, slo_ns);
+      const auto points_remote =
+          Sweep(**remote, w, scale, *arrival, cal_remote, slo_ns);
       bench::AssertChecksClean(**local, spec.name + "/" + name + "/local");
       bench::AssertChecksClean(**remote,
                                spec.name + "/" + name + "/remote");
@@ -250,27 +219,22 @@ int main(int argc, char** argv) {
             bench::PaperEngineOptions(partition::Method::kCacheAware, 0,
                                       scale));
         UPDLRM_CHECK_MSG(sharded.ok(), sharded.status().ToString());
-        const Calibration cal = Calibrate(**sharded, scale.batch_size);
-        // --health-out monitors one representative run: the largest
-        // CA-shard fleet on the first workload, at 1.0x capacity (the
-        // configuration with the most units and the reduction tree in
-        // play). Units are global DPU ids — dpus_per_rank consecutive
-        // units per rank, num_dpus per shard.
-        std::unique_ptr<telemetry::FleetMonitor> monitor;
-        if (wi == 0 &&
-            shards == kReplicaCounts[std::size(kReplicaCounts) - 1]) {
-          monitor = bench::MakeFleetMonitor(
-              w, scale, slo_ns, base.dpus_per_rank, base.num_dpus);
-        }
-        const auto points = Sweep(**sharded, w, scale, *arrival,
-                                  cal.capacity_qps, cal.batch_total,
-                                  slo_ns, monitor.get());
+        const bench::Calibration cal =
+            bench::Calibrate(**sharded, scale.batch_size);
+        // The representative run: the largest CA-shard fleet on the
+        // first workload (the configuration with the most units and the
+        // reduction tree in play).
+        const bool representative =
+            wi == 0 &&
+            shards == kReplicaCounts[std::size(kReplicaCounts) - 1];
+        const auto points = Sweep(**sharded, w, scale, *arrival, cal,
+                                  slo_ns, representative);
         bench::AssertChecksClean(**sharded,
                                  spec.name + "/CA-shard/" +
                                      std::to_string(shards));
-        bench::WriteHealthArtifacts(monitor.get(), scale);
         fleets.push_back(
-            SingleEngineResult(points, cal.capacity_qps, slo_ns));
+            CombineReplicas(points, points, 1, cal.capacity_qps,
+                            cal.capacity_qps, slo_ns));
       }
       methods.emplace_back("CA-shard", std::move(fleets));
     }

@@ -86,21 +86,8 @@ int main(int argc, char** argv) {
 
       // Calibrate: one offline pass gives the per-batch stage profile.
       timer.BeginPhase("calibrate");
-      auto profile = (*engine)->RunAll(nullptr);
-      UPDLRM_CHECK_MSG(profile.ok(), profile.status().ToString());
-      const double nb = static_cast<double>(profile->num_batches);
-      const Nanos host_per_batch = (profile->stages.cpu_to_dpu +
-                                    profile->stages.dpu_to_cpu +
-                                    profile->stages.cpu_aggregate) /
-                                   nb;
-      const Nanos dpu_per_batch = profile->stages.dpu_lookup / nb;
-      const Nanos batch_total =
-          profile->stages.EmbeddingTotal() / nb;
-      // Pipelined capacity: the slower resource turns over one batch per
-      // max(host, dpu) ns in steady state.
-      const double capacity_qps =
-          static_cast<double>(scale.batch_size) /
-          (std::max(host_per_batch, dpu_per_batch) / kNanosPerSecond);
+      const auto [stages, batch_total, capacity_qps, batcher] =
+          bench::Calibrate(**engine, scale.batch_size);
       if (slo_ns == 0.0) slo_ns = 3.0 * batch_total;
 
       timer.BeginPhase("serve");
@@ -115,10 +102,7 @@ int main(int argc, char** argv) {
         UPDLRM_CHECK_MSG(requests.ok(), requests.status().ToString());
 
         serve::ServeOptions options;
-        options.batcher.max_batch_size = scale.batch_size;
-        options.batcher.max_queue_delay_ns = batch_total;
-        options.batcher.queue_capacity = 4 * scale.batch_size;
-        options.batcher.policy = serve::AdmissionPolicy::kShed;
+        options.batcher = batcher;
         // --trace-out / --health-out capture one representative serve
         // run (cache-aware at 1.0x capacity): each run restarts the
         // simulated clock at 0, so one trace file holds exactly one run.
@@ -183,25 +167,9 @@ int main(int argc, char** argv) {
     UPDLRM_CHECK_MSG(engine.ok(), engine.status().ToString());
 
     timer.BeginPhase("e2e_calibrate");
-    auto profile = (*engine)->RunAll(nullptr);
-    UPDLRM_CHECK_MSG(profile.ok(), profile.status().ToString());
-    const double nb = static_cast<double>(profile->num_batches);
-    const Nanos host_per_batch = (profile->stages.cpu_to_dpu +
-                                  profile->stages.dpu_to_cpu +
-                                  profile->stages.cpu_aggregate) /
-                                 nb;
-    const Nanos dpu_per_batch = profile->stages.dpu_lookup / nb;
-    const Nanos batch_total = profile->stages.EmbeddingTotal() / nb;
-    const double capacity_qps =
-        static_cast<double>(scale.batch_size) /
-        (std::max(host_per_batch, dpu_per_batch) / kNanosPerSecond);
+    const auto [stages, batch_total, capacity_qps, batcher] =
+        bench::Calibrate(**engine, scale.batch_size);
     if (slo_ns == 0.0) slo_ns = 3.0 * batch_total;
-
-    serve::BatcherOptions batcher;
-    batcher.max_batch_size = scale.batch_size;
-    batcher.max_queue_delay_ns = batch_total;
-    batcher.queue_capacity = 4 * scale.batch_size;
-    batcher.policy = serve::AdmissionPolicy::kShed;
 
     // Tune against the 1.0x-capacity stream: enumerate candidate data
     // flows, rank by the analytic predictor, calibrate the short list.
@@ -225,10 +193,7 @@ int main(int argc, char** argv) {
     // per-batch work, so the e2e sustainable-QPS gate scales with the
     // model instead of charging the MLP stages against embedding slack.
     core::BatchResult probe;
-    probe.stages.cpu_to_dpu = profile->stages.cpu_to_dpu / nb;
-    probe.stages.dpu_lookup = profile->stages.dpu_lookup / nb;
-    probe.stages.dpu_to_cpu = profile->stages.dpu_to_cpu / nb;
-    probe.stages.cpu_aggregate = profile->stages.cpu_aggregate / nb;
+    probe.stages = stages;
     const host::GpuTimingModel gpu_model;
     const auto costs = pipeline::ComputeBatchTaskCosts(
         w.config, (*engine)->cpu_model(), gpu_model, probe,

@@ -6,10 +6,10 @@
 #include <string>
 
 #include "check/dataflow_audit.h"
+#include "common/function_ref.h"
 #include "dlrm/batched.h"
 #include "serve/server.h"
 #include "telemetry/tracer.h"
-#include "updlrm/scaleout.h"
 #include "updlrm/timeline.h"
 
 namespace updlrm::pipeline {
@@ -19,28 +19,17 @@ namespace {
 // Per-unit cumulative work proxy for the straggler scorer: kernel
 // cycles plus index wire bytes (a stand-in for per-DPU transfer cycles
 // — z-scores are scale-free, so the mix only needs to be consistent).
-void AppendUnitWork(const pim::DpuSystem& system,
-                    std::vector<std::uint64_t>& out) {
-  for (std::uint32_t i = 0; i < system.num_dpus(); ++i) {
-    const pim::DpuStats& stats = system.dpu(i).stats();
-    out.push_back(stats.kernel_cycles + stats.index_bytes_pushed);
-  }
-}
-
-// Flat engine: units are its DPUs.
-void SampleUnitWork(const core::UpDlrmEngine& engine,
+// Units are every system's DPUs, concatenated in system order (on a
+// fleet, global unit id = shard * shard_dpus + local dpu).
+void SampleUnitWork(const core::EmbeddingEngine& engine,
                     std::vector<std::uint64_t>& out) {
   out.clear();
-  AppendUnitWork(engine.dpu_system(), out);
-}
-
-// Sharded fleet: units are every shard's DPUs, concatenated in shard
-// order (global unit id = shard * shard_dpus + local dpu).
-void SampleUnitWork(const core::ShardedEngine& engine,
-                    std::vector<std::uint64_t>& out) {
-  out.clear();
-  for (std::uint32_t s = 0; s < engine.num_shards(); ++s) {
-    AppendUnitWork(engine.shard(s).dpu_system(), out);
+  for (std::uint32_t s = 0; s < engine.num_systems(); ++s) {
+    const pim::DpuSystem& system = engine.system(s);
+    for (std::uint32_t i = 0; i < system.num_dpus(); ++i) {
+      const pim::DpuStats& stats = system.dpu(i).stats();
+      out.push_back(stats.kernel_cycles + stats.index_bytes_pushed);
+    }
   }
 }
 
@@ -91,19 +80,21 @@ Status ValidateServeInput(std::span<const serve::Request> requests,
   return Status::Ok();
 }
 
-// The serving loop, shared by every entry point and engine shape: it
-// only needs RunSamples(), trace() and dpu_system() (telemetry anchor),
-// which both the flat engine and the sharded scale-out engine provide.
-// `batch_costs(batch, samples)` prices one executed batch under `plan`
-// (and may run per-batch functional work); everything else — batching,
-// execution, monitor feeding, tracing and latency accounting — lives
-// here once.
-template <typename EngineT, typename CostFn>
-Status RunServeLoop(EngineT& engine, std::span<const serve::Request> requests,
+// Prices one executed batch under the loop's plan (and may run
+// per-batch functional work); `samples` are the batch's sample ids.
+using BatchCostFn = FunctionRef<Result<BatchTaskCosts>(
+    const core::BatchResult&, std::span<const std::size_t>)>;
+
+// The serving loop, shared by every entry point and engine: it only
+// needs the EmbeddingEngine interface. `batch_costs` prices each batch;
+// everything else — batching, execution, monitor feeding, tracing and
+// latency accounting — lives here once.
+Status RunServeLoop(core::EmbeddingEngine& engine,
+                    std::span<const serve::Request> requests,
                     const serve::BatcherOptions& batcher_options,
                     const DataFlowPlan& plan,
                     telemetry::FleetMonitor* monitor_option,
-                    const CostFn& batch_costs, DataFlowServeResult& result) {
+                    BatchCostFn batch_costs, DataFlowServeResult& result) {
   UPDLRM_RETURN_IF_ERROR(ValidateServeInput(requests, batcher_options, plan));
   serve::DynamicBatcher batcher(batcher_options);
   DataFlowExecutor executor(plan);
@@ -297,7 +288,7 @@ Status RunServeLoop(EngineT& engine, std::span<const serve::Request> requests,
                      sched.top_end_ns - interact_end, nullptr);
         }
         if (batch_traces[b] != nullptr) {
-          core::EmitBatchDpuTimeline(engine.dpu_system(), *batch_traces[b],
+          core::EmitBatchDpuTimeline(engine.system(0), *batch_traces[b],
                                      b, sched.s2_start_ns,
                                      /*tasklet_detail=*/true);
         }
@@ -362,33 +353,6 @@ Status RunServeLoop(EngineT& engine, std::span<const serve::Request> requests,
   UPDLRM_CHECK_MSG(result.completed + result.shed == result.offered,
                    "serving accounting mismatch");
   return Status::Ok();
-}
-
-// Embedding-only serving: the loop under the plan that places no dense
-// work, its schedule projected onto the embedding stages.
-template <typename EngineT>
-Result<serve::ServeResult> RunEmbeddingServeLoop(
-    EngineT& engine, std::span<const serve::Request> requests,
-    const serve::ServeOptions& options) {
-  DataFlowPlan plan;  // split0.cpu-cpu
-  plan.depth = options.pipeline_depth;
-  const auto embedding_only = [](const core::BatchResult& batch,
-                                 std::span<const std::size_t>) {
-    return Result<BatchTaskCosts>(BatchTaskCosts{.emb = batch.stages});
-  };
-  DataFlowServeResult flow;
-  UPDLRM_RETURN_IF_ERROR(RunServeLoop(engine, requests, options.batcher,
-                                      plan, options.monitor,
-                                      embedding_only, flow));
-  serve::ServeResult result;
-  result.schedule.reserve(flow.schedule.size());
-  for (const ExecutedFlowBatch& b : flow.schedule) {
-    result.schedule.push_back(serve::ExecutedBatch{
-        b.costs.emb, b.cut_ns, b.s1_start_ns, b.s1_end_ns, b.s2_start_ns,
-        b.s2_end_ns, b.s3_start_ns, b.s3_end_ns});
-  }
-  static_cast<serve::ServeSummary&>(result) = std::move(flow);
-  return result;
 }
 
 }  // namespace
@@ -485,16 +449,31 @@ Result<DataFlowServeResult> RunDataFlowSimulation(
 
 namespace updlrm::serve {
 
-Result<ServeResult> RunServeSimulation(core::UpDlrmEngine& engine,
+// Embedding-only serving: the loop under the plan that places no dense
+// work, its schedule projected onto the embedding stages.
+Result<ServeResult> RunServeSimulation(core::EmbeddingEngine& engine,
                                        std::span<const Request> requests,
                                        const ServeOptions& options) {
-  return pipeline::RunEmbeddingServeLoop(engine, requests, options);
-}
-
-Result<ServeResult> RunServeSimulation(core::ShardedEngine& engine,
-                                       std::span<const Request> requests,
-                                       const ServeOptions& options) {
-  return pipeline::RunEmbeddingServeLoop(engine, requests, options);
+  pipeline::DataFlowPlan plan;  // split0.cpu-cpu
+  plan.depth = options.pipeline_depth;
+  const auto embedding_only = [](const core::BatchResult& batch,
+                                 std::span<const std::size_t>) {
+    return Result<pipeline::BatchTaskCosts>({.emb = batch.stages});
+  };
+  pipeline::DataFlowServeResult flow;
+  UPDLRM_RETURN_IF_ERROR(pipeline::RunServeLoop(engine, requests,
+                                                options.batcher, plan,
+                                                options.monitor,
+                                                embedding_only, flow));
+  ServeResult result;
+  result.schedule.reserve(flow.schedule.size());
+  for (const pipeline::ExecutedFlowBatch& b : flow.schedule) {
+    result.schedule.push_back(ExecutedBatch{
+        b.costs.emb, b.cut_ns, b.s1_start_ns, b.s1_end_ns, b.s2_start_ns,
+        b.s2_end_ns, b.s3_start_ns, b.s3_end_ns});
+  }
+  static_cast<ServeSummary&>(result) = std::move(flow);
+  return result;
 }
 
 }  // namespace updlrm::serve

@@ -1,7 +1,9 @@
 // The online serving simulator: request queue -> dynamic batcher ->
 // double-buffered pipelined execution -> tail-latency metrics.
 //
-// Drives one engine through an open-loop request stream in simulated
+// Drives one embedding engine (core::EmbeddingEngine: the flat engine
+// or a sharded fleet, whose per-request shard fan-out and merge happen
+// inside RunSamples) through an open-loop request stream in simulated
 // time. Arrivals enter the bounded request queue (shed-or-block
 // admission control); the dynamic batcher cuts a batch whenever the
 // executor has a free buffer pair AND the batch is due (full, or the
@@ -13,7 +15,7 @@
 // pipeline/runner.h under the data-flow plan that places no dense work
 // (`d<pipeline_depth>.split0.cpu-cpu` with zero dense costs), so both
 // entry points share one discrete-event scan and one executor. The
-// definitions live in the updlrm_pipeline library.
+// definition lives in the updlrm_pipeline library.
 //
 // Host threads only accelerate the engine's per-batch computation of
 // StageBreakdown values, which are thread-count invariant, so every
@@ -32,10 +34,6 @@
 #include "serve/workload.h"
 #include "telemetry/monitor.h"
 #include "updlrm/engine.h"
-
-namespace updlrm::core {
-class ShardedEngine;  // updlrm/scaleout.h
-}  // namespace updlrm::core
 
 namespace updlrm::serve {
 
@@ -63,14 +61,7 @@ struct ServeResult : ServeSummary {
 /// InvalidArgument for malformed input: non-finite or decreasing
 /// arrivals, a zero batch size or depth, or a negative or non-finite
 /// queue delay.
-Result<ServeResult> RunServeSimulation(core::UpDlrmEngine& engine,
-                                       std::span<const Request> requests,
-                                       const ServeOptions& options);
-
-/// Sharded-fleet overload: the same discrete-event loop over a
-/// ShardedEngine (per-request shard fan-out + merge happen inside
-/// RunSamples; batch timings are the fleet composition).
-Result<ServeResult> RunServeSimulation(core::ShardedEngine& engine,
+Result<ServeResult> RunServeSimulation(core::EmbeddingEngine& engine,
                                        std::span<const Request> requests,
                                        const ServeOptions& options);
 

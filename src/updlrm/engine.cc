@@ -36,16 +36,170 @@ void UpDlrmEngine::BinRoute::Clear() {
   dedup_keys.clear();
 }
 
+EmbeddingEngine::EmbeddingEngine(const dlrm::DlrmModel* model,
+                                 dlrm::DlrmConfig config,
+                                 const trace::Trace& trace,
+                                 EngineOptions options)
+    : model_(model),
+      config_(std::move(config)),
+      trace_(trace),
+      options_(std::move(options)),
+      cpu_(options_.cpu) {}
+
+Status EmbeddingEngine::ValidateInputs() const {
+  UPDLRM_RETURN_IF_ERROR(config_.Validate());
+  if (options_.batch_size == 0) {
+    return Status::InvalidArgument("batch_size must be >= 1");
+  }
+  if (options_.cache_capacity_fraction < 0.0 ||
+      options_.cache_capacity_fraction > 1.0) {
+    return Status::InvalidArgument(
+        "cache_capacity_fraction must be in [0, 1]");
+  }
+  if (trace_.num_tables() != config_.num_tables) {
+    return Status::InvalidArgument("trace table count mismatches model");
+  }
+  for (std::uint32_t t = 0; t < config_.num_tables; ++t) {
+    if (trace_.ItemsInTable(t) != config_.RowsInTable(t)) {
+      return Status::InvalidArgument("trace item count mismatches table " +
+                                     std::to_string(t) + "'s rows");
+    }
+  }
+  UPDLRM_RETURN_IF_ERROR(trace_.Validate());
+  if (options_.preprofiled != nullptr) {
+    if (options_.preprofiled->size() != config_.num_tables) {
+      return Status::InvalidArgument(
+          "preprofiled must hold one TableProfile per table");
+    }
+    for (std::uint32_t t = 0; t < config_.num_tables; ++t) {
+      const trace::TableProfile& p = (*options_.preprofiled)[t];
+      if (p.freq.size() != config_.RowsInTable(t) ||
+          p.by_freq.size() != p.freq.size()) {
+        return Status::InvalidArgument(
+            "preprofiled table " + std::to_string(t) +
+            " does not match the table shape");
+      }
+    }
+  }
+  return Status::Ok();
+}
+
+Result<BatchResult> EmbeddingEngine::RunBatch(
+    trace::BatchRange range, const dlrm::DenseInputs* dense) {
+  if (range.size() == 0 || range.end > trace_.num_samples()) {
+    return Status::InvalidArgument("invalid batch range");
+  }
+  range_samples_.resize(range.size());
+  for (std::size_t i = 0; i < range.size(); ++i) {
+    range_samples_[i] = range.begin + i;
+  }
+  return RunSamples(range_samples_, dense);
+}
+
+Status EmbeddingEngine::FinishBatch(std::span<const std::int64_t> pooled_acc,
+                                    std::span<const std::size_t> samples,
+                                    const dlrm::DenseInputs* dense,
+                                    BatchResult& out) const {
+  if (!functional()) return Status::Ok();
+  if (dense != nullptr) {
+    if (dense->dim() != config_.dense_features) {
+      return Status::InvalidArgument(
+          "dense inputs have " + std::to_string(dense->dim()) +
+          " features; the model takes " +
+          std::to_string(config_.dense_features));
+    }
+    for (const std::size_t s : samples) {
+      if (s >= dense->num_samples()) {
+        return Status::InvalidArgument("sample id " + std::to_string(s) +
+                                       " outside the dense inputs");
+      }
+    }
+  }
+  // The one unavoidable per-batch allocation of functional mode: the
+  // pooled embeddings are returned to the caller by value.
+  out.pooled.resize(pooled_acc.size());
+  for (std::size_t i = 0; i < pooled_acc.size(); ++i) {
+    out.pooled[i] = FromFixedSum(pooled_acc[i]);
+  }
+  if (dense != nullptr) {
+    out.ctr.reserve(samples.size());
+    const std::size_t width =
+        static_cast<std::size_t>(config_.num_tables) * config_.embedding_dim;
+    for (std::size_t s = 0; s < samples.size(); ++s) {
+      out.ctr.push_back(model_->ForwardSample(
+          dense->Sample(samples[s]),
+          std::span<const float>(out.pooled.data() + s * width, width)));
+    }
+  }
+  return Status::Ok();
+}
+
+Result<InferenceReport> EmbeddingEngine::RunAll(
+    const dlrm::DenseInputs* dense) {
+  InferenceReport report;
+  // Trace emission: RunAll models batches back-to-back (no pipelining),
+  // so a serial sim-time cursor places batch i at [t, t + total). Spans
+  // mirror the StageBreakdown; 1-in-sample_every batches also get the
+  // per-DPU timeline (skips are counted, never silent).
+  const bool tracing = telemetry::TraceEnabled();
+  telemetry::Tracer& tracer = telemetry::Tracer::Get();
+  const std::uint64_t sample_every =
+      tracing ? tracer.options().sample_every : 1;
+  using telemetry::Clock;
+  using telemetry::kPipelinePid;
+  if (tracing) {
+    tracer.SetThreadName(kPipelinePid, 0, "host buses (stage 1/3)");
+    tracer.SetThreadName(kPipelinePid, 1, "DPU array (stage 2)");
+    tracer.SetThreadName(kPipelinePid, 2, "MLP (CPU)");
+  }
+  Nanos cursor = 0.0;
+  std::uint64_t batch_index = 0;
+  for (const trace::BatchRange& range :
+       trace::MakeBatches(trace_.num_samples(), options_.batch_size)) {
+    auto batch = RunBatch(range, dense);
+    if (!batch.ok()) return batch.status();
+    if (tracing) {
+      if (batch_index % sample_every == 0) {
+        const StageBreakdown& st = batch->stages;
+        const Nanos s2_start = cursor + st.cpu_to_dpu;
+        const Nanos s3_start = s2_start + st.dpu_lookup;
+        tracer.Complete(kPipelinePid, 0, Clock::kSim, "stage1.push",
+                        cursor, st.cpu_to_dpu, "batch",
+                        static_cast<double>(batch_index));
+        tracer.Complete(kPipelinePid, 1, Clock::kSim, "stage2.kernel",
+                        s2_start, st.dpu_lookup);
+        tracer.Complete(kPipelinePid, 0, Clock::kSim, "stage3.pull",
+                        s3_start, st.dpu_to_cpu);
+        tracer.Complete(kPipelinePid, 0, Clock::kSim, "cpu.aggregate",
+                        s3_start + st.dpu_to_cpu, st.cpu_aggregate);
+        tracer.Complete(kPipelinePid, 2, Clock::kSim, "mlp.bottom",
+                        cursor, batch->bottom_mlp);
+        tracer.Complete(
+            kPipelinePid, 2, Clock::kSim, "mlp.interaction_top",
+            cursor + std::max(batch->bottom_mlp, st.EmbeddingTotal()),
+            batch->interaction_top);
+        if (batch->dpu_trace != nullptr) {
+          EmitBatchDpuTimeline(system(0), *batch->dpu_trace, batch_index,
+                               s2_start, /*tasklet_detail=*/true);
+        }
+      } else {
+        tracer.CountSampledOut();
+      }
+    }
+    cursor += batch->total;
+    ++batch_index;
+    report.Accumulate(batch.value());
+    report.num_samples += range.size();
+  }
+  return report;
+}
+
 UpDlrmEngine::UpDlrmEngine(const dlrm::DlrmModel* model,
                            dlrm::DlrmConfig config,
                            const trace::Trace& trace,
                            pim::DpuSystem* system, EngineOptions options)
-    : model_(model),
-      config_(std::move(config)),
-      trace_(trace),
-      system_(system),
-      options_(std::move(options)),
-      cpu_(options_.cpu) {}
+    : EmbeddingEngine(model, std::move(config), trace, std::move(options)),
+      system_(system) {}
 
 UpDlrmEngine::~UpDlrmEngine() {
   // The checker's observers point into checker_-owned state; unhook
@@ -66,24 +220,7 @@ Result<std::unique_ptr<UpDlrmEngine>> UpDlrmEngine::Create(
 
 Status UpDlrmEngine::Setup() {
   telemetry::TraceSpan span("engine.Setup", "engine");
-  UPDLRM_RETURN_IF_ERROR(config_.Validate());
-  if (options_.batch_size == 0) {
-    return Status::InvalidArgument("batch_size must be >= 1");
-  }
-  if (options_.cache_capacity_fraction < 0.0 ||
-      options_.cache_capacity_fraction > 1.0) {
-    return Status::InvalidArgument(
-        "cache_capacity_fraction must be in [0, 1]");
-  }
-  if (trace_.num_tables() != config_.num_tables) {
-    return Status::InvalidArgument("trace table count mismatches model");
-  }
-  for (std::uint32_t t = 0; t < config_.num_tables; ++t) {
-    if (trace_.ItemsInTable(t) != config_.RowsInTable(t)) {
-      return Status::InvalidArgument("trace item count mismatches table " +
-                                     std::to_string(t) + "'s rows");
-    }
-  }
+  UPDLRM_RETURN_IF_ERROR(ValidateInputs());
   if (model_ != nullptr && !system_->functional()) {
     return Status::FailedPrecondition(
         "functional engine requires a functional DpuSystem");
@@ -189,21 +326,6 @@ Status UpDlrmEngine::Setup() {
   }
   if (next_dpu > system_->num_dpus()) {
     return Status::CapacityExceeded("allocation exceeds the DPU count");
-  }
-  if (options_.preprofiled != nullptr) {
-    if (options_.preprofiled->size() != config_.num_tables) {
-      return Status::InvalidArgument(
-          "preprofiled must hold one TableProfile per table");
-    }
-    for (std::uint32_t t = 0; t < config_.num_tables; ++t) {
-      const trace::TableProfile& p = (*options_.preprofiled)[t];
-      if (p.freq.size() != config_.RowsInTable(t) ||
-          p.by_freq.size() != p.freq.size()) {
-        return Status::InvalidArgument(
-            "preprofiled table " + std::to_string(t) +
-            " does not match the table shape");
-      }
-    }
   }
 
   // Per-table preparation (profiling, partitioning, mining, MRAM
@@ -615,18 +737,6 @@ void UpDlrmEngine::RouteGroup(std::size_t g,
       }
     }
   }
-}
-
-Result<BatchResult> UpDlrmEngine::RunBatch(trace::BatchRange range,
-                                           const dlrm::DenseInputs* dense) {
-  if (range.size() == 0 || range.end > trace_.num_samples()) {
-    return Status::InvalidArgument("invalid batch range");
-  }
-  range_samples_.resize(range.size());
-  for (std::size_t i = 0; i < range.size(); ++i) {
-    range_samples_[i] = range.begin + i;
-  }
-  return RunSamples(range_samples_, dense);
 }
 
 Result<BatchResult> UpDlrmEngine::RunSamples(
@@ -1083,90 +1193,11 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
                       4);
   out.total = std::max(out.bottom_mlp, out.stages.EmbeddingTotal()) +
               out.interaction_top;
-  // UPDLRM_NOALLOC_END (the functional-mode output copy below is the
-  // documented per-batch allocation: results leave by value).
+  // UPDLRM_NOALLOC_END (the functional-mode output copy in FinishBatch
+  // is the documented per-batch allocation: results leave by value).
 
-  if (fn) {
-    // The one unavoidable per-batch allocation of functional mode: the
-    // pooled embeddings are returned to the caller by value.
-    out.pooled.resize(pooled_acc.size());
-    for (std::size_t i = 0; i < pooled_acc.size(); ++i) {
-      out.pooled[i] = FromFixedSum(pooled_acc[i]);
-    }
-    if (options_.emit_fixed_pooled) {
-      out.pooled_fixed.assign(pooled_acc.begin(), pooled_acc.end());
-    }
-    if (dense != nullptr) {
-      out.ctr.reserve(batch);
-      const std::size_t width = static_cast<std::size_t>(tables) * dim;
-      for (std::size_t s = 0; s < batch; ++s) {
-        out.ctr.push_back(model_->ForwardSample(
-            dense->Sample(samples[s]),
-            std::span<const float>(out.pooled.data() + s * width, width)));
-      }
-    }
-  }
+  UPDLRM_RETURN_IF_ERROR(FinishBatch(pooled_acc, samples, dense, out));
   return out;
-}
-
-Result<InferenceReport> UpDlrmEngine::RunAll(
-    const dlrm::DenseInputs* dense) {
-  InferenceReport report;
-  // Trace emission: RunAll models batches back-to-back (no pipelining),
-  // so a serial sim-time cursor places batch i at [t, t + total). Spans
-  // mirror the StageBreakdown; 1-in-sample_every batches also get the
-  // per-DPU timeline (skips are counted, never silent).
-  const bool tracing = telemetry::TraceEnabled();
-  telemetry::Tracer& tracer = telemetry::Tracer::Get();
-  const std::uint64_t sample_every =
-      tracing ? tracer.options().sample_every : 1;
-  using telemetry::Clock;
-  using telemetry::kPipelinePid;
-  if (tracing) {
-    tracer.SetThreadName(kPipelinePid, 0, "host buses (stage 1/3)");
-    tracer.SetThreadName(kPipelinePid, 1, "DPU array (stage 2)");
-    tracer.SetThreadName(kPipelinePid, 2, "MLP (CPU)");
-  }
-  Nanos cursor = 0.0;
-  std::uint64_t batch_index = 0;
-  for (const trace::BatchRange& range :
-       trace::MakeBatches(trace_.num_samples(), options_.batch_size)) {
-    auto batch = RunBatch(range, dense);
-    if (!batch.ok()) return batch.status();
-    if (tracing) {
-      if (batch_index % sample_every == 0) {
-        const StageBreakdown& st = batch->stages;
-        const Nanos s2_start = cursor + st.cpu_to_dpu;
-        const Nanos s3_start = s2_start + st.dpu_lookup;
-        tracer.Complete(kPipelinePid, 0, Clock::kSim, "stage1.push",
-                        cursor, st.cpu_to_dpu, "batch",
-                        static_cast<double>(batch_index));
-        tracer.Complete(kPipelinePid, 1, Clock::kSim, "stage2.kernel",
-                        s2_start, st.dpu_lookup);
-        tracer.Complete(kPipelinePid, 0, Clock::kSim, "stage3.pull",
-                        s3_start, st.dpu_to_cpu);
-        tracer.Complete(kPipelinePid, 0, Clock::kSim, "cpu.aggregate",
-                        s3_start + st.dpu_to_cpu, st.cpu_aggregate);
-        tracer.Complete(kPipelinePid, 2, Clock::kSim, "mlp.bottom",
-                        cursor, batch->bottom_mlp);
-        tracer.Complete(
-            kPipelinePid, 2, Clock::kSim, "mlp.interaction_top",
-            cursor + std::max(batch->bottom_mlp, st.EmbeddingTotal()),
-            batch->interaction_top);
-        if (batch->dpu_trace != nullptr) {
-          EmitBatchDpuTimeline(*system_, *batch->dpu_trace, batch_index,
-                               s2_start, /*tasklet_detail=*/true);
-        }
-      } else {
-        tracer.CountSampledOut();
-      }
-    }
-    cursor += batch->total;
-    ++batch_index;
-    report.Accumulate(batch.value());
-    report.num_samples += range.size();
-  }
-  return report;
 }
 
 std::optional<UpDlrmEngine::DpuLocation> UpDlrmEngine::LocateDpu(

@@ -89,10 +89,6 @@ struct EngineOptions {
   /// single-rank topology the plan always stays flat and both the
   /// price and the merge are unchanged.
   bool hierarchical_reduction = false;
-  /// Also emit the pooled embeddings as raw Q15.16 int64 accumulators
-  /// (BatchResult::pooled_fixed) — the sharded scale-out engine merges
-  /// shards in integer space before the single float conversion.
-  bool emit_fixed_pooled = false;
   /// Extension: how DPUs are split across tables. The paper's setup is
   /// an even split of identical tables; heterogeneous models benefit
   /// from rows- or traffic-proportional groups
@@ -127,7 +123,84 @@ struct EngineOptions {
   check::ModelAuditTolerance check_tolerance;
 };
 
-class UpDlrmEngine {
+// The one embedding engine interface (push, DPU lookup, pull, reduce)
+// that serving, the benches and the check gate drive. UpDlrmEngine runs
+// on one DPU system; ShardedEngine (updlrm/scaleout.h) on one per
+// shard. The base owns what both share: the model, config, trace,
+// options and host timing model, Create-time input validation, the
+// range and whole-trace loops, and the int64 -> float + CTR finish.
+class EmbeddingEngine {
+ public:
+  virtual ~EmbeddingEngine() = default;
+
+  /// Runs one batch over an explicit (not necessarily contiguous) list
+  /// of trace sample ids — the serving layer's dynamic batcher coalesces
+  /// whatever requests are queued, and admission control can punch holes
+  /// into the arrival order. Sample ids index both the trace and
+  /// `dense`; `dense` may be null (skips CTR computation, still
+  /// accounts MLP time).
+  virtual Result<BatchResult> RunSamples(
+      std::span<const std::size_t> samples,
+      const dlrm::DenseInputs* dense) = 0;
+
+  /// RunSamples over the contiguous range [range.begin, range.end).
+  Result<BatchResult> RunBatch(trace::BatchRange range,
+                               const dlrm::DenseInputs* dense);
+
+  /// Runs the whole trace in batches of options.batch_size, back to
+  /// back (no pipelining).
+  Result<InferenceReport> RunAll(const dlrm::DenseInputs* dense);
+
+  /// The DPU systems this engine runs on, in shard order. System 0
+  /// anchors the per-DPU telemetry timeline (all systems share the
+  /// clock and launch constants).
+  virtual std::uint32_t num_systems() const = 0;
+  virtual const pim::DpuSystem& system(std::uint32_t s) const = 0;
+
+  /// Total hardware-contract violations recorded so far (0 when
+  /// options.check_mode is off).
+  virtual std::uint64_t check_violations() const = 0;
+
+  const EngineOptions& options() const { return options_; }
+  bool functional() const { return model_ != nullptr; }
+  /// The reference model (null in timing-only mode). The full-path
+  /// serving pipeline builds its batched MLP stacks from it.
+  const dlrm::DlrmModel* model() const { return model_; }
+  const trace::Trace& trace() const { return trace_; }
+  const dlrm::DlrmConfig& config() const { return config_; }
+  /// Calibrated host timing model (the data-flow tuner prices MLP /
+  /// interaction placement candidates with the same model the engine
+  /// charges).
+  const host::CpuTimingModel& cpu_model() const { return cpu_; }
+
+ protected:
+  EmbeddingEngine(const dlrm::DlrmModel* model, dlrm::DlrmConfig config,
+                  const trace::Trace& trace, EngineOptions options);
+
+  /// Create-time checks of config, options, trace and shared profiles;
+  /// InvalidArgument on any mismatch.
+  Status ValidateInputs() const;
+
+  /// Functional mode only: converts the Q15.16 pooled accumulators
+  /// (batch x tables x dim) to floats once, then CTR when `dense` is
+  /// given. InvalidArgument when `dense` does not fit `samples`.
+  Status FinishBatch(std::span<const std::int64_t> pooled_acc,
+                     std::span<const std::size_t> samples,
+                     const dlrm::DenseInputs* dense,
+                     BatchResult& out) const;
+
+  const dlrm::DlrmModel* model_;  // null in timing-only mode
+  dlrm::DlrmConfig config_;
+  const trace::Trace& trace_;
+  EngineOptions options_;
+  host::CpuTimingModel cpu_;
+
+ private:
+  // Sample-id scratch for the RunBatch(range) -> RunSamples adapter.
+  std::vector<std::size_t> range_samples_;
+};
+
+class UpDlrmEngine final : public EmbeddingEngine {
  public:
   /// `model` == nullptr selects timing-only mode (config supplies the
   /// shapes); otherwise the system must be functional and the engine
@@ -139,21 +212,13 @@ class UpDlrmEngine {
       const trace::Trace& trace, pim::DpuSystem* system,
       EngineOptions options);
 
-  /// Runs one batch; `dense` may be null (skips CTR computation, still
-  /// accounts MLP time).
-  Result<BatchResult> RunBatch(trace::BatchRange range,
-                               const dlrm::DenseInputs* dense);
-
-  /// Runs one batch over an explicit (not necessarily contiguous) list
-  /// of trace sample ids — the serving layer's dynamic batcher coalesces
-  /// whatever requests are queued, and admission control can punch holes
-  /// into the arrival order. Sample ids index both the trace and
-  /// `dense`. Equivalent to RunBatch for a contiguous ascending list.
   Result<BatchResult> RunSamples(std::span<const std::size_t> samples,
-                                 const dlrm::DenseInputs* dense);
+                                 const dlrm::DenseInputs* dense) override;
 
-  /// Runs the whole trace in batches of options.batch_size.
-  Result<InferenceReport> RunAll(const dlrm::DenseInputs* dense);
+  std::uint32_t num_systems() const override { return 1; }
+  const pim::DpuSystem& system(std::uint32_t) const override {
+    return *system_;
+  }
 
   std::uint32_t nc() const { return nc_; }
   const std::vector<TableGroup>& groups() const { return groups_; }
@@ -174,29 +239,24 @@ class UpDlrmEngine {
       const {
     return tile_result_;
   }
-  const EngineOptions& options() const { return options_; }
-  bool functional() const { return model_ != nullptr; }
-  /// The reference model (null in timing-only mode). The full-path
-  /// serving pipeline builds its batched MLP stacks from it.
-  const dlrm::DlrmModel* model() const { return model_; }
-  const trace::Trace& trace() const { return trace_; }
-  const dlrm::DlrmConfig& config() const { return config_; }
-  /// Calibrated host timing model (the data-flow tuner prices MLP /
-  /// interaction placement candidates with the same model the engine
-  /// charges).
-  const host::CpuTimingModel& cpu_model() const { return cpu_; }
+  /// The last batch's Q15.16 int64 pooled accumulators (batch x
+  /// tables x dim, the layout of BatchResult::pooled), valid until the
+  /// next RunSamples; empty in timing-only mode. The sharded fleet
+  /// merges shards from here in integer space.
+  std::span<const std::int64_t> pooled_accumulators() const {
+    return pooled_acc_;
+  }
 
   /// Violation report of the hardware-contract checker; null unless
   /// options.check_mode.
   const check::CheckReport* check_report() const {
     return checker_ != nullptr ? &checker_->report() : nullptr;
   }
-  /// Total violations recorded so far (0 when checks are off).
-  std::uint64_t check_violations() const {
+  std::uint64_t check_violations() const override {
     return checker_ != nullptr ? checker_->report().total() : 0;
   }
 
-  ~UpDlrmEngine();
+  ~UpDlrmEngine() override;
 
  private:
   UpDlrmEngine(const dlrm::DlrmModel* model, dlrm::DlrmConfig config,
@@ -251,12 +311,7 @@ class UpDlrmEngine {
   Nanos EstimateBatchCost(std::uint32_t nc,
                           std::span<const std::uint32_t> alloc) const;
 
-  const dlrm::DlrmModel* model_;  // null in timing-only mode
-  dlrm::DlrmConfig config_;
-  const trace::Trace& trace_;
   pim::DpuSystem* system_;
-  EngineOptions options_;
-  host::CpuTimingModel cpu_;
 
   std::vector<std::uint32_t> dpus_per_table_;
   std::vector<std::uint32_t> first_dpu_;
@@ -266,8 +321,6 @@ class UpDlrmEngine {
 
   // Scratch reused across batches (one entry per group).
   std::vector<GroupScratch> scratch_;
-  // Sample-id scratch for the RunBatch(range) -> RunSamples adapter.
-  std::vector<std::size_t> range_samples_;
   // Per-batch buffers reused across RunSamples calls, assign()ed each
   // batch (capacity persists: zero heap allocations per batch once
   // warm, asserted by tests/serve/alloc_test.cc). Per-task accumulator

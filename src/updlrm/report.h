@@ -57,12 +57,6 @@ struct BatchResult {
   // Functional outputs (empty in timing-only mode).
   std::vector<float> pooled;  // batch x (tables * dim), fixed-point path
   std::vector<float> ctr;     // batch
-  /// Raw Q15.16 int64 pooled accumulators (same layout as `pooled`),
-  /// emitted only under EngineOptions::emit_fixed_pooled. The sharded
-  /// scale-out engine merges shard results in integer space — exactly
-  /// associative — and converts to float once, keeping the merged
-  /// output bit-identical to a flat engine's.
-  std::vector<std::int64_t> pooled_fixed;
 
   /// The stage-3 aggregation plan this batch was priced with (flat
   /// stream vs per-rank + merge tree); default-initialized flat plan

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "check/scaleout_audit.h"
-#include "common/fixed_point.h"
 #include "common/simd.h"
 #include "common/units.h"
 #include "pim/reduction.h"
@@ -45,25 +44,17 @@ ShardedEngine::ShardedEngine(const dlrm::DlrmModel* model,
                              const trace::Trace& trace,
                              ShardedEngineConfig fleet,
                              EngineOptions options)
-    : model_(model),
-      config_(std::move(config)),
-      trace_(trace),
-      fleet_(std::move(fleet)),
-      options_(std::move(options)),
-      cpu_(options_.cpu) {}
+    : EmbeddingEngine(model, std::move(config), trace, std::move(options)),
+      fleet_(std::move(fleet)) {}
 
 Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Create(
     const dlrm::DlrmModel* model, const dlrm::DlrmConfig& config,
     const trace::Trace& trace, ShardedEngineConfig fleet,
     EngineOptions options) {
-  UPDLRM_RETURN_IF_ERROR(config.Validate());
   UPDLRM_RETURN_IF_ERROR(fleet.Validate());
-  UPDLRM_RETURN_IF_ERROR(trace.Validate());
-  if (trace.num_tables() != config.num_tables) {
-    return Status::InvalidArgument("trace/table-count mismatch");
-  }
   auto engine = std::unique_ptr<ShardedEngine>(new ShardedEngine(
       model, config, trace, std::move(fleet), std::move(options)));
+  UPDLRM_RETURN_IF_ERROR(engine->ValidateInputs());
   UPDLRM_RETURN_IF_ERROR(engine->Setup());
   return engine;
 }
@@ -171,8 +162,7 @@ Status ShardedEngine::Setup() {
   // tiering planner consumes).
   std::vector<trace::TableProfile> local_profiles;
   std::span<const trace::TableProfile> profiles;
-  if (options_.preprofiled != nullptr &&
-      options_.preprofiled->size() == tables) {
+  if (options_.preprofiled != nullptr) {  // shape-checked at Create
     profiles = *options_.preprofiled;
   } else {
     local_profiles.reserve(tables);
@@ -213,8 +203,7 @@ Status ShardedEngine::Setup() {
     systems_.push_back(std::move(system).value());
 
     EngineOptions sub = options_;
-    sub.emit_fixed_pooled = true;  // shards return int64 accumulators
-    sub.preprofiled = nullptr;     // profiles describe the full trace
+    sub.preprofiled = nullptr;  // profiles describe the full trace
     sub.premined_cache = nullptr;
     if (fleet_.tiering.wram_rows > 0) {
       sub.wram_cache_rows = fleet_.tiering.wram_rows;
@@ -230,9 +219,6 @@ Status ShardedEngine::Setup() {
 
 Result<BatchResult> ShardedEngine::RunSamples(
     std::span<const std::size_t> samples, const dlrm::DenseInputs* dense) {
-  if (samples.empty()) {
-    return Status::InvalidArgument("empty sample batch");
-  }
   const std::size_t batch = samples.size();
   const std::uint32_t tables = config_.num_tables;
   const std::uint32_t dim = config_.embedding_dim;
@@ -245,10 +231,12 @@ Result<BatchResult> ShardedEngine::RunSamples(
   shard_partial_bytes_.assign(shards, 0);
   if (fn) merged_acc_.assign(pooled_size, 0);
 
-  // Fan-out: every shard runs the batch against its slice. Shards
-  // execute concurrently on disjoint rank groups, so the merged stage
-  // times are per-stage maxima; the int64 shard accumulators merge in
-  // fixed shard order (exactly associative, so the order is cosmetic).
+  // Fan-out: every shard runs the batch against its slice (and rejects
+  // an empty batch or sample ids outside the trace before the DRAM-tier
+  // gather below reads them). Shards execute concurrently on disjoint
+  // rank groups, so the merged stage times are per-stage maxima; the
+  // int64 shard accumulators merge in fixed shard order (exactly
+  // associative, so the order is cosmetic).
   for (std::uint32_t s = 0; s < shards; ++s) {
     auto r = shards_[s]->RunSamples(samples, nullptr);
     if (!r.ok()) return r.status();
@@ -269,9 +257,10 @@ Result<BatchResult> ShardedEngine::RunSamples(
     out.partial_bytes += r->partial_bytes;
     if (s == 0) out.dpu_trace = r->dpu_trace;
     if (fn) {
-      UPDLRM_CHECK(r->pooled_fixed.size() == pooled_size);
-      simd::AddI64ToI64(r->pooled_fixed.data(), merged_acc_.data(),
-                        pooled_size);
+      const std::span<const std::int64_t> acc =
+          shards_[s]->pooled_accumulators();
+      UPDLRM_CHECK(acc.size() == pooled_size);
+      simd::AddI64ToI64(acc.data(), merged_acc_.data(), pooled_size);
     }
   }
 
@@ -327,50 +316,8 @@ Result<BatchResult> ShardedEngine::RunSamples(
   out.total = std::max(out.bottom_mlp, out.stages.EmbeddingTotal()) +
               out.interaction_top;
 
-  if (fn) {
-    out.pooled.resize(pooled_size);
-    for (std::size_t i = 0; i < pooled_size; ++i) {
-      out.pooled[i] = FromFixedSum(merged_acc_[i]);
-    }
-    if (options_.emit_fixed_pooled) {
-      out.pooled_fixed.assign(merged_acc_.begin(), merged_acc_.end());
-    }
-    if (dense != nullptr) {
-      out.ctr.reserve(batch);
-      const std::size_t width = static_cast<std::size_t>(tables) * dim;
-      for (std::size_t i = 0; i < batch; ++i) {
-        out.ctr.push_back(model_->ForwardSample(
-            dense->Sample(samples[i]),
-            std::span<const float>(out.pooled.data() + i * width, width)));
-      }
-    }
-  }
+  UPDLRM_RETURN_IF_ERROR(FinishBatch(merged_acc_, samples, dense, out));
   return out;
-}
-
-Result<BatchResult> ShardedEngine::RunBatch(trace::BatchRange range,
-                                            const dlrm::DenseInputs* dense) {
-  if (range.size() == 0 || range.end > trace_.num_samples()) {
-    return Status::InvalidArgument("invalid batch range");
-  }
-  range_samples_.resize(range.size());
-  for (std::size_t i = 0; i < range.size(); ++i) {
-    range_samples_[i] = range.begin + i;
-  }
-  return RunSamples(range_samples_, dense);
-}
-
-Result<InferenceReport> ShardedEngine::RunAll(
-    const dlrm::DenseInputs* dense) {
-  InferenceReport report;
-  for (const trace::BatchRange& range :
-       trace::MakeBatches(trace_.num_samples(), options_.batch_size)) {
-    auto batch = RunBatch(range, dense);
-    if (!batch.ok()) return batch.status();
-    report.Accumulate(batch.value());
-    report.num_samples += range.size();
-  }
-  return report;
 }
 
 std::uint64_t ShardedEngine::check_violations() const {

@@ -1,17 +1,18 @@
 // Fleet-scale sharded serving: one engine per PIM shard, statistical
 // tiering, and a cross-shard merge that preserves bit-exactness.
 //
-// A shard is a group of ranks running a complete UpDlrmEngine over the
-// slice of every table the tiering plan (partition/tiering.h) assigned
-// to it. Per batch:
+// A ShardedEngine is one core::EmbeddingEngine (updlrm/engine.h) built
+// from N flat ones: a shard is a group of ranks running a complete
+// UpDlrmEngine over the slice of every table the tiering plan
+// (partition/tiering.h) assigned to it. Per batch:
 //
 //   1. fan-out — each shard runs the batch against its sub-trace (the
 //      original samples with only shard-owned indices, remapped to
 //      dense local row ids); a request's lookups thus route only to
 //      the shards owning them;
-//   2. merge on pull — shards return raw Q15.16 int64 pooled
-//      accumulators (EngineOptions::emit_fixed_pooled); the host sums
-//      them per lane, folds in the host-DRAM tier's contributions
+//   2. merge on pull — the host reads every shard's raw Q15.16 int64
+//      pooled accumulators in place (pooled_accumulators()), sums them
+//      per lane, folds in the host-DRAM tier's contributions
 //      (cold rows gathered from the reference tables at CPU cost), and
 //      converts to float once. Integer lane addition is exactly
 //      associative, so the merged pooled output is bit-identical to a
@@ -34,7 +35,6 @@
 #include "check/report.h"
 #include "common/status.h"
 #include "dlrm/model.h"
-#include "host/cpu_model.h"
 #include "partition/tiering.h"
 #include "pim/system.h"
 #include "trace/trace.h"
@@ -58,28 +58,30 @@ struct ShardedEngineConfig {
   Status Validate() const;
 };
 
-class ShardedEngine {
+class ShardedEngine final : public EmbeddingEngine {
  public:
   /// `model` == nullptr selects timing-only mode, exactly as for
-  /// UpDlrmEngine. `trace` profiles the tiering plan and serves as the
-  /// workload; both must outlive the engine. `options` configures every
-  /// per-shard engine (emit_fixed_pooled is forced on; preprofiled /
-  /// premined_cache are cleared — they describe the unsharded trace).
+  /// UpDlrmEngine, and the same malformed inputs return
+  /// InvalidArgument. `trace` profiles the tiering plan and serves as
+  /// the workload; both must outlive the engine. `options` configures
+  /// every per-shard engine (preprofiled / premined_cache are cleared
+  /// for the shards — they describe the unsharded trace).
   static Result<std::unique_ptr<ShardedEngine>> Create(
       const dlrm::DlrmModel* model, const dlrm::DlrmConfig& config,
       const trace::Trace& trace, ShardedEngineConfig fleet,
       EngineOptions options);
 
-  /// Batch over explicit sample ids (the serving fan-out path).
+  /// Batch over explicit sample ids: fan-out to every shard, then the
+  /// cross-shard merge.
   Result<BatchResult> RunSamples(std::span<const std::size_t> samples,
-                                 const dlrm::DenseInputs* dense);
+                                 const dlrm::DenseInputs* dense) override;
 
-  /// Contiguous-range adapter, mirroring UpDlrmEngine::RunBatch.
-  Result<BatchResult> RunBatch(trace::BatchRange range,
-                               const dlrm::DenseInputs* dense);
-
-  /// Runs the whole trace in batches of options.batch_size.
-  Result<InferenceReport> RunAll(const dlrm::DenseInputs* dense);
+  std::uint32_t num_systems() const override { return num_shards(); }
+  const pim::DpuSystem& system(std::uint32_t s) const override {
+    return shard(s).dpu_system();
+  }
+  /// Total violations: fleet-level plus every shard engine's.
+  std::uint64_t check_violations() const override;
 
   std::uint32_t num_shards() const {
     return static_cast<std::uint32_t>(shards_.size());
@@ -88,20 +90,11 @@ class ShardedEngine {
     UPDLRM_CHECK(s < shards_.size());
     return *shards_[s];
   }
-  /// Shard 0's system (serve-loop telemetry anchor: all shards share
-  /// the clock and launch constants).
-  const pim::DpuSystem& dpu_system() const { return *systems_.front(); }
   const partition::TierShardingPlan& tier_plan() const { return plan_; }
-  const ShardedEngineConfig& fleet() const { return fleet_; }
-  const trace::Trace& trace() const { return trace_; }
-  bool functional() const { return model_ != nullptr; }
-  const dlrm::DlrmModel* model() const { return model_; }
 
   /// Fleet-level audit report (shard coverage, tier capacity, fleet
   /// reduction shape); per-shard engine reports live in shard(s).
   const check::CheckReport& fleet_check_report() const { return report_; }
-  /// Total violations: fleet-level plus every shard engine's.
-  std::uint64_t check_violations() const;
 
  private:
   ShardedEngine(const dlrm::DlrmModel* model, dlrm::DlrmConfig config,
@@ -111,12 +104,7 @@ class ShardedEngine {
   Status Setup();
   Status BuildShardInputs();
 
-  const dlrm::DlrmModel* model_;  // null in timing-only mode
-  dlrm::DlrmConfig config_;
-  const trace::Trace& trace_;
   ShardedEngineConfig fleet_;
-  EngineOptions options_;
-  host::CpuTimingModel cpu_;
 
   partition::TierShardingPlan plan_;
   // Per-shard sub-workloads: sub-trace (local row ids), sub-config
@@ -137,7 +125,6 @@ class ShardedEngine {
   std::vector<std::int64_t> merged_acc_;
   std::vector<std::int64_t> dram_bag_;
   std::vector<std::uint64_t> shard_partial_bytes_;
-  std::vector<std::size_t> range_samples_;
 
   check::CheckReport report_;
 };

@@ -16,6 +16,7 @@
 #include "telemetry/monitor.h"
 #include "trace/generator.h"
 #include "trace/profiler.h"
+#include "updlrm/scaleout.h"
 
 namespace updlrm::serve {
 namespace {
@@ -27,9 +28,15 @@ struct ServeRun {
   pipeline::DataFlowServeResult flow;
 };
 
+enum class Path {
+  kEmbedding,  // RunServeSimulation on the flat engine
+  kFleet,      // RunServeSimulation on a 2-shard ShardedEngine
+  kDlrm,       // pipeline::RunDataFlowSimulation on the flat engine
+};
+
 ServeRun RunServeAt(std::uint32_t threads,
                     telemetry::FleetMonitor* monitor = nullptr,
-                    bool full_path = false) {
+                    Path path = Path::kEmbedding) {
   dlrm::DlrmConfig config;
   config.num_tables = 2;
   config.rows_per_table = 600;
@@ -83,6 +90,16 @@ ServeRun RunServeAt(std::uint32_t threads,
   auto engine = core::UpDlrmEngine::Create(nullptr, config, *trace,
                                            system->get(), engine_options);
   UPDLRM_CHECK_MSG(engine.ok(), engine.status().ToString().c_str());
+  std::unique_ptr<core::ShardedEngine> fleet;
+  if (path == Path::kFleet) {
+    core::ShardedEngineConfig fleet_config;
+    fleet_config.shard_system = sys;
+    fleet_config.tiering.num_shards = 2;
+    auto sharded = core::ShardedEngine::Create(nullptr, config, *trace,
+                                               fleet_config, engine_options);
+    UPDLRM_CHECK_MSG(sharded.ok(), sharded.status().ToString().c_str());
+    fleet = std::move(sharded).value();
+  }
 
   ServeRun run;
   ArrivalOptions arrivals;
@@ -99,7 +116,7 @@ ServeRun RunServeAt(std::uint32_t threads,
   options.batcher.queue_capacity = 24;
   options.batcher.policy = AdmissionPolicy::kShed;
   options.monitor = monitor;
-  if (full_path) {
+  if (path == Path::kDlrm) {
     pipeline::DataFlowServeOptions flow_options;
     flow_options.batcher = options.batcher;
     flow_options.plan.bottom_split = 1;
@@ -110,7 +127,10 @@ ServeRun RunServeAt(std::uint32_t threads,
     run.flow = std::move(flow).value();
     return run;
   }
-  auto result = RunServeSimulation(**engine, run.requests, options);
+  core::EmbeddingEngine& served =
+      fleet != nullptr ? static_cast<core::EmbeddingEngine&>(*fleet)
+                       : **engine;
+  auto result = RunServeSimulation(served, run.requests, options);
   UPDLRM_CHECK_MSG(result.ok(), result.status().ToString().c_str());
   run.result = std::move(result).value();
   return run;
@@ -167,46 +187,51 @@ TEST(ServeDeterminismTest, SimulationBitExactAcrossThreadCounts) {
 // health monitoring"): attaching a FleetMonitor must not perturb the
 // simulation, and the monitor's own output must be thread-invariant.
 TEST(ServeDeterminismTest, MonitorIsObservationOnlyAndThreadInvariant) {
-  const ServeRun bare = RunServeAt(1);
-  std::string serial_jsonl;
-  for (std::uint32_t threads : {1u, 2u, 4u}) {
-    telemetry::MonitorOptions monitor_options;
-    monitor_options.window_ns = 5.0e4;
-    monitor_options.drift.min_accesses = 1;
-    telemetry::FleetMonitor monitor(monitor_options);
-    const ServeRun run = RunServeAt(threads, &monitor);
-    monitor.Finalize();
-    const ServeResult& a = run.result;
-    const ServeResult& b = bare.result;
-    EXPECT_EQ(a.offered, b.offered) << threads;
-    EXPECT_EQ(a.completed, b.completed) << threads;
-    EXPECT_EQ(a.shed, b.shed) << threads;
-    EXPECT_EQ(a.num_batches, b.num_batches) << threads;
-    EXPECT_EQ(a.makespan_ns, b.makespan_ns) << threads;
-    ASSERT_EQ(a.request_latency_ns.size(), b.request_latency_ns.size());
-    for (std::size_t i = 0; i < b.request_latency_ns.size(); ++i) {
-      ASSERT_EQ(a.request_latency_ns[i], b.request_latency_ns[i])
-          << "latency " << i << " at " << threads << " threads";
-    }
-    ASSERT_EQ(a.schedule.size(), b.schedule.size());
-    for (std::size_t i = 0; i < b.schedule.size(); ++i) {
-      ASSERT_EQ(a.schedule[i].s1_start_ns, b.schedule[i].s1_start_ns);
-      ASSERT_EQ(a.schedule[i].s3_end_ns, b.schedule[i].s3_end_ns);
-    }
-    // The monitor itself is fed from simulated time, so its JSONL
-    // stream is byte-identical at every thread count.
-    ASSERT_GT(monitor.windows().size(), 0u) << threads;
-    const std::string jsonl = monitor.ToJsonl();
-    if (threads == 1) {
-      serial_jsonl = jsonl;
-      EXPECT_TRUE(telemetry::ValidateHealthJsonl(jsonl, 1).ok());
-    } else {
-      EXPECT_EQ(jsonl, serial_jsonl) << threads << " threads";
+  // Embedding-only serving, on the flat engine and on a 2-shard fleet
+  // (whose units are both shards' DPUs).
+  for (const Path path : {Path::kEmbedding, Path::kFleet}) {
+    SCOPED_TRACE(path == Path::kFleet ? "fleet" : "flat engine");
+    const ServeRun bare = RunServeAt(1, nullptr, path);
+    std::string serial_jsonl;
+    for (std::uint32_t threads : {1u, 2u, 4u}) {
+      telemetry::MonitorOptions monitor_options;
+      monitor_options.window_ns = 5.0e4;
+      monitor_options.drift.min_accesses = 1;
+      telemetry::FleetMonitor monitor(monitor_options);
+      const ServeRun run = RunServeAt(threads, &monitor, path);
+      monitor.Finalize();
+      const ServeResult& a = run.result;
+      const ServeResult& b = bare.result;
+      EXPECT_EQ(a.offered, b.offered) << threads;
+      EXPECT_EQ(a.completed, b.completed) << threads;
+      EXPECT_EQ(a.shed, b.shed) << threads;
+      EXPECT_EQ(a.num_batches, b.num_batches) << threads;
+      EXPECT_EQ(a.makespan_ns, b.makespan_ns) << threads;
+      ASSERT_EQ(a.request_latency_ns.size(), b.request_latency_ns.size());
+      for (std::size_t i = 0; i < b.request_latency_ns.size(); ++i) {
+        ASSERT_EQ(a.request_latency_ns[i], b.request_latency_ns[i])
+            << "latency " << i << " at " << threads << " threads";
+      }
+      ASSERT_EQ(a.schedule.size(), b.schedule.size());
+      for (std::size_t i = 0; i < b.schedule.size(); ++i) {
+        ASSERT_EQ(a.schedule[i].s1_start_ns, b.schedule[i].s1_start_ns);
+        ASSERT_EQ(a.schedule[i].s3_end_ns, b.schedule[i].s3_end_ns);
+      }
+      // The monitor itself is fed from simulated time, so its JSONL
+      // stream is byte-identical at every thread count.
+      ASSERT_GT(monitor.windows().size(), 0u) << threads;
+      const std::string jsonl = monitor.ToJsonl();
+      if (threads == 1) {
+        serial_jsonl = jsonl;
+        EXPECT_TRUE(telemetry::ValidateHealthJsonl(jsonl, 1).ok());
+      } else {
+        EXPECT_EQ(jsonl, serial_jsonl) << threads << " threads";
+      }
     }
   }
   // One more input: the full DLRM path (pipeline::RunDataFlowSimulation)
   // feeds the monitor from the same loop, under the same contract.
-  const ServeRun bare_flow = RunServeAt(1, nullptr, /*full_path=*/true);
+  const ServeRun bare_flow = RunServeAt(1, nullptr, Path::kDlrm);
   ASSERT_GT(bare_flow.flow.num_batches, 0u);
   std::string serial_flow_jsonl;
   for (std::uint32_t threads : {1u, 2u, 4u}) {
@@ -214,7 +239,7 @@ TEST(ServeDeterminismTest, MonitorIsObservationOnlyAndThreadInvariant) {
     monitor_options.window_ns = 5.0e4;
     monitor_options.drift.min_accesses = 1;
     telemetry::FleetMonitor monitor(monitor_options);
-    const ServeRun run = RunServeAt(threads, &monitor, /*full_path=*/true);
+    const ServeRun run = RunServeAt(threads, &monitor, Path::kDlrm);
     monitor.Finalize();
     const pipeline::DataFlowServeResult& a = run.flow;
     const pipeline::DataFlowServeResult& b = bare_flow.flow;

@@ -1,6 +1,7 @@
 // End-to-end serving simulation: open-loop arrivals -> batcher ->
 // engine -> pipelined executor -> metrics, on a small timing-only
-// system, and the rejection of malformed serving input.
+// system, a sharded fleet served through the same entry point, and the
+// rejection of malformed serving input.
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "trace/generator.h"
+#include "updlrm/scaleout.h"
 
 namespace updlrm::serve {
 namespace {
@@ -220,6 +222,60 @@ TEST(ServerTest, MakeSloReportJudgesTailAgainstSlo) {
   EXPECT_TRUE(loose.slo_met);
   EXPECT_GT(loose.achieved_qps, 0.0);
   EXPECT_EQ(loose.completed, result->completed);
+}
+
+// One engine interface: the 1-shard identity fleet (every row on its
+// one shard, nothing spilled to host DRAM) served through the same
+// RunServeSimulation equals the flat engine field for field.
+TEST(ServerTest, SingleShardFleetServesLikeTheFlatEngine) {
+  Fixture f = MakeFixture();
+  core::ShardedEngineConfig fleet;
+  fleet.shard_system = f.system->config();
+  fleet.tiering.keep_zero_freq_on_pim = true;
+  auto sharded = core::ShardedEngine::Create(nullptr, f.config, f.trace,
+                                             fleet, f.engine->options());
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+
+  const auto requests = Arrivals(f.trace, 1.0e8);  // overload: sheds
+  ServeOptions options;
+  options.batcher.max_batch_size = 8;
+  options.batcher.max_queue_delay_ns = 1.0e5;
+  options.batcher.queue_capacity = 8;
+  options.batcher.policy = AdmissionPolicy::kShed;
+  auto want = RunServeSimulation(*f.engine, requests, options);
+  auto got = RunServeSimulation(**sharded, requests, options);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_GT(want->shed, 0u);
+  EXPECT_EQ(got->shed, want->shed);
+  EXPECT_EQ(got->offered, want->offered);
+  EXPECT_EQ(got->completed, want->completed);
+  EXPECT_EQ(got->num_batches, want->num_batches);
+  EXPECT_EQ(got->max_queue_depth, want->max_queue_depth);
+  EXPECT_EQ(got->request_latency_ns, want->request_latency_ns);
+  EXPECT_EQ(got->makespan_ns, want->makespan_ns);
+  EXPECT_EQ(got->utilization.host_busy_ns, want->utilization.host_busy_ns);
+  EXPECT_EQ(got->utilization.dpu_busy_ns, want->utilization.dpu_busy_ns);
+  EXPECT_EQ(got->utilization.host_mlp_busy_ns,
+            want->utilization.host_mlp_busy_ns);
+  EXPECT_EQ(got->utilization.gpu_busy_ns, want->utilization.gpu_busy_ns);
+  EXPECT_EQ(got->utilization.makespan_ns, want->utilization.makespan_ns);
+  ASSERT_EQ(got->schedule.size(), want->schedule.size());
+  for (std::size_t b = 0; b < want->schedule.size(); ++b) {
+    const ExecutedBatch& g = got->schedule[b];
+    const ExecutedBatch& w = want->schedule[b];
+    EXPECT_EQ(g.stages.cpu_to_dpu, w.stages.cpu_to_dpu) << b;
+    EXPECT_EQ(g.stages.dpu_lookup, w.stages.dpu_lookup) << b;
+    EXPECT_EQ(g.stages.dpu_to_cpu, w.stages.dpu_to_cpu) << b;
+    EXPECT_EQ(g.stages.cpu_aggregate, w.stages.cpu_aggregate) << b;
+    EXPECT_EQ(g.submit_ns, w.submit_ns) << b;
+    EXPECT_EQ(g.s1_start_ns, w.s1_start_ns) << b;
+    EXPECT_EQ(g.s1_end_ns, w.s1_end_ns) << b;
+    EXPECT_EQ(g.s2_start_ns, w.s2_start_ns) << b;
+    EXPECT_EQ(g.s2_end_ns, w.s2_end_ns) << b;
+    EXPECT_EQ(g.s3_start_ns, w.s3_start_ns) << b;
+    EXPECT_EQ(g.s3_end_ns, w.s3_end_ns) << b;
+  }
 }
 
 TEST(ServerTest, RejectsRequestsOutsideTheTrace) {

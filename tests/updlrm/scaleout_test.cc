@@ -1,14 +1,15 @@
 // ShardedEngine tests: the degenerate 1-shard fleet is the flat engine
 // bit for bit, sharded + tiered serving stays bit-exact vs the flat
 // reference, shard sub-traces match a per-shard filter of the trace,
-// shard routing audits clean, and remote shards price their cross-host
-// ingress.
+// shard routing audits clean, remote shards price their cross-host
+// ingress, and both engines reject the same malformed inputs.
 #include "updlrm/scaleout.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "trace/generator.h"
@@ -264,6 +265,69 @@ TEST(ScaleoutTest, MisalignedShardHostBoundaryRejected) {
   fleet.tiering.num_shards = 2;
   fleet.fleet_topology.ranks_per_host = 3;  // 2 does not divide 3
   EXPECT_FALSE(fleet.Validate().ok());
+}
+
+// The flat engine and the fleet share one input validation: each
+// malformed input returns InvalidArgument from both — at Create for
+// what the engine is built from, at RunBatch for dense inputs — and
+// never aborts.
+TEST(ScaleoutTest, RejectsMalformedInputs) {
+  std::vector<trace::TableProfile> short_profiles(2);
+  for (trace::TableProfile& p : short_profiles) {
+    p.freq.assign(599, 1);  // one row short of each 600-row table
+    p.by_freq.assign(599, 0);
+  }
+  const auto few = dlrm::DenseInputs::Generate(8, 5, 1);
+  const auto narrow = dlrm::DenseInputs::Generate(96, 4, 1);
+  struct Case {
+    const char* name;
+    bool functional;
+    std::vector<std::uint64_t> items_per_table;  // empty: unchanged
+    const std::vector<trace::TableProfile>* preprofiled;
+    const dlrm::DenseInputs* dense;  // set: rejected at RunBatch
+  };
+  const Case cases[] = {
+      {"trace rows != config rows, timing-only", false, {700, 600},
+       nullptr, nullptr},
+      {"trace rows != config rows, functional", true, {700, 600}, nullptr,
+       nullptr},
+      {"mis-sized preprofiled tables", false, {}, &short_profiles,
+       nullptr},
+      {"dense shorter than the sample ids", true, {}, nullptr, &few},
+      {"dense feature width != model", true, {}, nullptr, &narrow},
+  };
+  for (const Case& c : cases) {
+    Fixture f = MakeFixture(c.functional);
+    if (!c.items_per_table.empty()) {
+      f.trace.items_per_table = c.items_per_table;
+    }
+    EngineOptions options = SmallOptions();
+    options.preprofiled = c.preprofiled;
+    const auto expect_rejected = [&c](auto created, const char* engine) {
+      SCOPED_TRACE(std::string(c.name) + " on the " + engine);
+      if (c.dense == nullptr) {
+        EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument)
+            << created.status().ToString();
+        return;
+      }
+      ASSERT_TRUE(created.ok()) << created.status().ToString();
+      auto batch = (*created)->RunBatch({0, 32}, c.dense);
+      EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument)
+          << batch.status().ToString();
+    };
+    auto system = pim::DpuSystem::Create(ShardSystem(c.functional));
+    ASSERT_TRUE(system.ok());
+    expect_rejected(UpDlrmEngine::Create(f.model.get(), f.config, f.trace,
+                                         system->get(), options),
+                    "flat engine");
+    ShardedEngineConfig fleet;
+    fleet.shard_system = ShardSystem(c.functional);
+    fleet.tiering.num_shards = 2;
+    expect_rejected(
+        ShardedEngine::Create(f.model.get(), f.config, f.trace, fleet,
+                              options),
+        "fleet");
+  }
 }
 
 }  // namespace
