@@ -18,6 +18,7 @@ std::string PlanTag(const partition::PartitionPlan& plan) {
 }  // namespace
 
 void AuditPlan(const partition::PartitionPlan& plan,
+               std::span<const std::uint64_t> emt_rows_per_bin,
                const PlanAuditLimits& limits, CheckReport* report) {
   const partition::GroupGeometry& geom = plan.geom;
   const std::uint64_t rows = geom.table.rows;
@@ -157,7 +158,8 @@ void AuditPlan(const partition::PartitionPlan& plan,
   // placement carved out of the 64 MB bank.
   if (!capacity_auditable) return;
   const std::uint64_t row_bytes = geom.row_bytes();
-  const std::vector<std::uint64_t> emt_rows = plan.EmtRowsPerBin();
+  UPDLRM_CHECK(emt_rows_per_bin.size() == geom.row_shards);
+  const std::span<const std::uint64_t> emt_rows = emt_rows_per_bin;
   const std::vector<std::uint64_t> cache_bytes = plan.CacheBytesPerBin();
   for (std::uint32_t b = 0; b < geom.row_shards; ++b) {
     const std::uint64_t emt = emt_rows[b] * row_bytes;

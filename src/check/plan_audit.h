@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "check/report.h"
 #include "common/units.h"
@@ -36,8 +37,11 @@ struct PlanAuditLimits {
 
 /// Audits one table's partition plan. Fires kPlanCoverage,
 /// kPlanCapacity, kCacheColocation and kTileShape; a clean plan adds
-/// nothing to `report`.
+/// nothing to `report`. `emt_rows_per_bin` is the plan's
+/// EmtRowsPerBin() as placement laid it out (TableGroup's copy); the
+/// capacity audit reads it once the plan's bins are proven in range.
 void AuditPlan(const partition::PartitionPlan& plan,
+               std::span<const std::uint64_t> emt_rows_per_bin,
                const PlanAuditLimits& limits, CheckReport* report);
 
 /// Audits one applied dedup plan: gather refs are 16-bit indices into

@@ -117,7 +117,8 @@ std::vector<std::uint64_t> PartitionPlan::CacheBytesPerBin() const {
   return bytes;
 }
 
-Status PartitionPlan::Validate(const BinCapacity& capacity) const {
+Result<std::vector<std::uint64_t>> PartitionPlan::Validate(
+    const BinCapacity& capacity) const {
   if (row_bin.size() != geom.table.rows) {
     return Status::InvalidArgument("row_bin must cover every row");
   }
@@ -164,7 +165,7 @@ Status PartitionPlan::Validate(const BinCapacity& capacity) const {
     }
   }
 
-  const std::vector<std::uint64_t> emt_rows = EmtRowsPerBin();
+  std::vector<std::uint64_t> emt_rows = EmtRowsPerBin();
   for (std::uint32_t b = 0; b < geom.row_shards; ++b) {
     // Every bin holds the replica region in addition to its own rows.
     const std::uint64_t emt_bytes =
@@ -187,7 +188,7 @@ Status PartitionPlan::Validate(const BinCapacity& capacity) const {
       }
     }
   }
-  return Status::Ok();
+  return emt_rows;
 }
 
 }  // namespace updlrm::partition

@@ -150,8 +150,11 @@ struct PartitionPlan {
   std::vector<std::uint64_t> CacheBytesPerBin() const;
 
   /// Structural invariants: every row in exactly one bin, cache lists
-  /// disjoint & placed, and both regions within `capacity`.
-  Status Validate(const BinCapacity& capacity) const;
+  /// disjoint & placed, and both regions within `capacity`. On success
+  /// returns EmtRowsPerBin(), which the capacity check computes anyway,
+  /// so a caller that lays the plan out does not count the rows again.
+  Result<std::vector<std::uint64_t>> Validate(
+      const BinCapacity& capacity) const;
 };
 
 }  // namespace updlrm::partition

@@ -1,6 +1,8 @@
 #include "partition/tiering.h"
 
 #include <algorithm>
+#include <numeric>
+#include <tuple>
 
 namespace updlrm::partition {
 
@@ -70,31 +72,34 @@ TableTierPlan PlanTable(const trace::TableProfile& profile,
 
   // Shard the PIM tier: hottest rows first, each onto the least-loaded
   // shard (by access mass, then row count, then shard id), so shards
-  // receive near-equal slices of the access mass. A full shard (row
-  // capacity) drops out; when every shard is full the row spills to
+  // receive near-equal slices of the access mass. Only the chosen
+  // shard's key changes, so a heap keyed (mass, rows, id) yields that
+  // shard in O(log shards). A full shard (row capacity) leaves the
+  // heap for good; once every shard is full the remaining rows spill to
   // DRAM — capacity is physical, epsilon is a quality target.
+  const auto later = [&plan](std::uint32_t a, std::uint32_t b) {
+    return std::tie(plan.shard_accesses[a], plan.shard_rows[a], a) >
+           std::tie(plan.shard_accesses[b], plan.shard_rows[b], b);
+  };
+  std::vector<std::uint32_t> heap(shards);
+  std::iota(heap.begin(), heap.end(), 0U);
   for (const std::uint32_t r : profile.by_freq) {
     if (spilled[r]) continue;
-    std::uint32_t best = kHostDramShard;
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      if (options.pim_capacity_rows_per_shard > 0 &&
-          plan.shard_rows[s] >= options.pim_capacity_rows_per_shard) {
-        continue;
-      }
-      if (best == kHostDramShard ||
-          plan.shard_accesses[s] < plan.shard_accesses[best] ||
-          (plan.shard_accesses[s] == plan.shard_accesses[best] &&
-           plan.shard_rows[s] < plan.shard_rows[best])) {
-        best = s;
-      }
-    }
-    if (best == kHostDramShard) {
+    if (heap.empty()) {
       spilled[r] = true;
       continue;
     }
+    std::pop_heap(heap.begin(), heap.end(), later);
+    const std::uint32_t best = heap.back();
     plan.owner[r] = best;
     ++plan.shard_rows[best];
     plan.shard_accesses[best] += profile.freq[r];
+    if (options.pim_capacity_rows_per_shard > 0 &&
+        plan.shard_rows[best] >= options.pim_capacity_rows_per_shard) {
+      heap.pop_back();
+    } else {
+      std::push_heap(heap.begin(), heap.end(), later);
+    }
   }
 
   // Dense local ids in ascending global row order per owner (the DRAM

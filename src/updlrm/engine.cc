@@ -17,14 +17,6 @@
 
 namespace updlrm::core {
 
-namespace {
-
-// Stage-1 routing prefetches the route word of the index this many
-// positions ahead in the same sample.
-constexpr std::size_t kRoutePrefetch = 16;
-
-}  // namespace
-
 void UpDlrmEngine::BinRoute::Clear() {
   emt_slots.clear();
   cache_slots.clear();
@@ -328,13 +320,19 @@ Status UpDlrmEngine::Setup() {
     return Status::CapacityExceeded("allocation exceeds the DPU count");
   }
 
+  // Batches that need only per-bin counts read them from a route
+  // summary; functional slots and dedup keys need every index.
+  const bool summarize_routes = model_ == nullptr && !options_.dedup;
+
   // Per-table preparation (profiling, partitioning, mining, MRAM
-  // placement) is independent across tables: each table's group owns a
-  // disjoint DPU range, so placement writes never alias. Errors are
-  // reported in table order regardless of completion order.
+  // placement, route summary) is independent across tables: each
+  // table's group owns a disjoint DPU range, so placement writes never
+  // alias. Errors are reported in table order regardless of completion
+  // order.
   struct BuiltGroup {
     Status status;
     TableGroup group;
+    std::optional<RouteSummary> routes;
   };
   std::vector<BuiltGroup> built(config_.num_tables);
   ParallelFor(
@@ -354,15 +352,7 @@ Status UpDlrmEngine::Setup() {
                                               config_.RowsInTable(t));
             profile = &own_profile;
           }
-          auto plan = BuildPlan(t, *profile);
-          if (!plan.ok()) {
-            built[i].status = plan.status();
-            continue;
-          }
-          auto group = BuildTableGroup(
-              t, first_dpu_[t], std::move(plan).value(), system_->config(),
-              options_.reserved_io_bytes,
-              /*build_row_slots=*/model_ != nullptr);
+          auto group = BuildGroup(t, *profile);
           if (!group.ok()) {
             built[i].status = group.status();
             continue;
@@ -377,15 +367,23 @@ Status UpDlrmEngine::Setup() {
             built[i].status =
                 PlaceTable(model_->table(t), built[i].group, *system_);
           }
+          if (summarize_routes &&
+              CanSummarizeRoutes(built[i].group, trace_.tables[t])) {
+            built[i].routes =
+                BuildRouteSummary(built[i].group, trace_.tables[t]);
+          }
         }
       },
       options_.num_threads);
 
   groups_.clear();
   groups_.reserve(built.size());
+  route_summary_.clear();
+  route_summary_.reserve(built.size());
   for (BuiltGroup& b : built) {
     UPDLRM_RETURN_IF_ERROR(b.status);
     groups_.push_back(std::move(b.group));
+    route_summary_.push_back(std::move(b.routes));
   }
   if (checker_ != nullptr) {
     for (const TableGroup& group : groups_) AuditGroup(group);
@@ -420,7 +418,8 @@ void UpDlrmEngine::AuditGroup(const TableGroup& group) {
   limits.emt_bytes = group.layout.emt_bytes;
   limits.cache_bytes = group.layout.cache_bytes;
   limits.claims_uniform_model = tile_result_.has_value();
-  check::AuditPlan(group.plan, limits, &checker_->report());
+  check::AuditPlan(group.plan, group.emt_rows_per_bin, limits,
+                   &checker_->report());
 
   const std::uint32_t max_rows =
       system_->kernel_cost().MaxWramCacheRows(row_bytes);
@@ -500,7 +499,7 @@ Nanos UpDlrmEngine::EstimateBatchCost(
          system_->transfer().PullTime(pull, true);
 }
 
-Result<partition::PartitionPlan> UpDlrmEngine::BuildPlan(
+Result<TableGroup> UpDlrmEngine::BuildGroup(
     std::uint32_t table, const trace::TableProfile& profile) const {
   const std::span<const std::uint64_t> freq(profile.freq);
   const std::span<const std::uint32_t> by_freq(profile.by_freq);
@@ -524,7 +523,7 @@ Result<partition::PartitionPlan> UpDlrmEngine::BuildPlan(
   switch (options_.method) {
     case partition::Method::kUniform: {
       auto built = partition::UniformPartition(geom);
-      if (!built.ok()) return built;
+      if (!built.ok()) return built.status();
       plan = std::move(built).value();
       break;
     }
@@ -533,7 +532,7 @@ Result<partition::PartitionPlan> UpDlrmEngine::BuildPlan(
       nu.max_rows_per_bin = usable / geom.row_bytes();
       nu.order = by_freq;
       auto built = partition::NonUniformPartition(geom, freq, nu);
-      if (!built.ok()) return built;
+      if (!built.ok()) return built.status();
       plan = std::move(built).value();
       break;
     }
@@ -580,6 +579,14 @@ Result<partition::PartitionPlan> UpDlrmEngine::BuildPlan(
       break;
     }
   }
+  // EMT rows per bin of the final plan, from its last validation.
+  std::vector<std::uint64_t> emt_rows;
+  auto validate = [&]() -> Status {
+    auto rows = plan.Validate(capacity);
+    if (!rows.ok()) return rows.status();
+    emt_rows = std::move(rows).value();
+    return Status::Ok();
+  };
   if (options_.replicate_hot_rows > 0) {
     // Replication adds up to k extra row slices to every bin; a k that
     // fits one workload can overflow another's EMT regions. Rather than
@@ -591,7 +598,7 @@ Result<partition::PartitionPlan> UpDlrmEngine::BuildPlan(
     auto replicate = [&](std::uint32_t k) -> Result<std::size_t> {
       auto marked = partition::ApplyReplication(plan, freq, k, by_freq);
       if (!marked.ok()) return marked;
-      UPDLRM_RETURN_IF_ERROR(plan.Validate(capacity));
+      UPDLRM_RETURN_IF_ERROR(validate());
       return marked;
     };
     auto requested = replicate(options_.replicate_hot_rows);
@@ -618,9 +625,12 @@ Result<partition::PartitionPlan> UpDlrmEngine::BuildPlan(
                    table, options_.replicate_hot_rows, clamped.value());
     }
   } else {
-    UPDLRM_RETURN_IF_ERROR(plan.Validate(capacity));
+    UPDLRM_RETURN_IF_ERROR(validate());
   }
-  return plan;
+  return BuildTableGroup(table, first_dpu_[table], std::move(plan),
+                         std::move(emt_rows), system_->config(),
+                         options_.reserved_io_bytes,
+                         /*build_row_slots=*/model_ != nullptr);
 }
 
 void UpDlrmEngine::RouteGroup(std::size_t g,
@@ -639,6 +649,30 @@ void UpDlrmEngine::RouteGroup(std::size_t g,
       rt.emt_offsets.push_back(0);
       rt.cache_offsets.push_back(0);
     }
+  }
+
+  // Counts only: add up the batch's per-sample entries, O(bins touched)
+  // per sample and read sequentially.
+  if (route_summary_[g].has_value()) {
+    const RouteSummary& summary = *route_summary_[g];
+    for (const std::size_t s : samples) {
+      for (const std::uint32_t entry : summary.Sample(s)) {
+        BinRoute& rt = routes[RouteSummary::Bin(entry)];
+        const std::uint32_t n = RouteSummary::Count(entry);
+        switch (RouteSummary::Kind(entry)) {
+          case RouteKind::kEmt:
+            rt.emt_count += n;
+            break;
+          case RouteKind::kWram:
+            rt.wram_count += n;
+            break;
+          case RouteKind::kCache:
+            rt.cache_count += n;
+            break;
+        }
+      }
+    }
+    return;
   }
 
   // Routing: decide, per index, which bin serves it and whether a

@@ -38,6 +38,7 @@
 #include "trace/trace.h"
 #include "updlrm/placement.h"
 #include "updlrm/report.h"
+#include "updlrm/route_summary.h"
 
 namespace updlrm::core {
 
@@ -264,8 +265,10 @@ class UpDlrmEngine final : public EmbeddingEngine {
                EngineOptions options);
 
   Status Setup();
-  Result<partition::PartitionPlan> BuildPlan(
-      std::uint32_t table, const trace::TableProfile& profile) const;
+  // Partitions table `table` (method, cache trim, replication) and lays
+  // the validated plan out on the table's DPU group.
+  Result<TableGroup> BuildGroup(std::uint32_t table,
+                                const trace::TableProfile& profile) const;
 
   // Check-mode Setup pass over one built group: static plan audit,
   // WRAM-tier capacity audit, and MRAM region registration for the
@@ -302,8 +305,9 @@ class UpDlrmEngine final : public EmbeddingEngine {
     std::vector<std::uint32_t> touched_lists;
   };
 
-  // Stage 1 for one group: route the batch's indices to bins (and, in
-  // functional mode, to absolute MRAM slots).
+  // Stage 1 for one group: the batch's per-bin counts, summed from the
+  // group's route summary when it has one; otherwise routes every index
+  // to its bin (and, in functional mode, to absolute MRAM slots).
   void RouteGroup(std::size_t g, std::span<const std::size_t> samples);
 
   // Cost of one batch at tile width `nc` under `alloc` (auto-Nc search
@@ -318,6 +322,10 @@ class UpDlrmEngine final : public EmbeddingEngine {
   std::uint32_t nc_ = 0;
   std::optional<partition::TileOptimizerResult> tile_result_;
   std::vector<TableGroup> groups_;
+  // Per group: the trace's per-sample route counts, built at Setup for
+  // every group whose batches need only counts (timing-only, dedup off,
+  // no replicas); nullopt where routing walks the indices.
+  std::vector<std::optional<RouteSummary>> route_summary_;
 
   // Scratch reused across batches (one entry per group).
   std::vector<GroupScratch> scratch_;

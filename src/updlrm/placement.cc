@@ -21,6 +21,7 @@ std::span<const std::uint8_t> AsBytes(std::span<const std::int32_t> v) {
 Result<TableGroup> BuildTableGroup(std::uint32_t table_index,
                                    std::uint32_t first_dpu,
                                    partition::PartitionPlan plan,
+                                   std::vector<std::uint64_t> emt_rows_per_bin,
                                    const pim::DpuSystemConfig& system_config,
                                    std::uint64_t reserved_io_bytes,
                                    bool build_row_slots) {
@@ -36,7 +37,11 @@ Result<TableGroup> BuildTableGroup(std::uint32_t table_index,
   const auto& geom = group.plan.geom;
   const std::uint32_t row_bytes = geom.row_bytes();
 
-  group.emt_rows_per_bin = group.plan.EmtRowsPerBin();
+  if (emt_rows_per_bin.size() != geom.row_shards) {
+    return Status::InvalidArgument("emt_rows_per_bin must have one entry "
+                                   "per bin");
+  }
+  group.emt_rows_per_bin = std::move(emt_rows_per_bin);
   group.cache_bytes_per_bin = group.plan.has_cache()
                                   ? group.plan.CacheBytesPerBin()
                                   : std::vector<std::uint64_t>(

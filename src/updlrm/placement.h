@@ -70,10 +70,12 @@ struct TableGroup {
 };
 
 /// Computes the layout and (optionally) the row->slot map, validating
-/// that all regions fit the MRAM bank.
+/// that all regions fit the MRAM bank. `emt_rows_per_bin` is the plan's
+/// EmtRowsPerBin(), as PartitionPlan::Validate returns it.
 Result<TableGroup> BuildTableGroup(std::uint32_t table_index,
                                    std::uint32_t first_dpu,
                                    partition::PartitionPlan plan,
+                                   std::vector<std::uint64_t> emt_rows_per_bin,
                                    const pim::DpuSystemConfig& system_config,
                                    std::uint64_t reserved_io_bytes,
                                    bool build_row_slots);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "check/report.h"
 #include "partition/uniform.h"
 
@@ -22,13 +24,19 @@ partition::PartitionPlan SmallPlan() {
   return std::move(plan).value();
 }
 
+// EMT rows per bin of the uncorrupted SmallPlan(). Only the capacity
+// rule reads them, and AmpleLimits() fits any of these plans.
+std::vector<std::uint64_t> CleanEmtRows() {
+  return SmallPlan().EmtRowsPerBin();
+}
+
 PlanAuditLimits AmpleLimits() {
   return PlanAuditLimits{.emt_bytes = 1 << 20, .cache_bytes = 1 << 20};
 }
 
 TEST(PlanAuditTest, CleanUniformPlanReportsNothing) {
   CheckReport report;
-  AuditPlan(SmallPlan(), AmpleLimits(), &report);
+  AuditPlan(SmallPlan(), CleanEmtRows(), AmpleLimits(), &report);
   EXPECT_TRUE(report.clean()) << report.ToString();
 }
 
@@ -37,7 +45,7 @@ TEST(PlanAuditTest, OutOfRangeBinFiresCoverage) {
   partition::PartitionPlan plan = SmallPlan();
   plan.row_bin[7] = plan.geom.row_shards + 3;
   CheckReport report;
-  AuditPlan(plan, AmpleLimits(), &report);
+  AuditPlan(plan, CleanEmtRows(), AmpleLimits(), &report);
   EXPECT_GE(report.count(Rule::kPlanCoverage), 1u);
 }
 
@@ -46,7 +54,7 @@ TEST(PlanAuditTest, TruncatedRowBinFiresCoverage) {
   partition::PartitionPlan plan = SmallPlan();
   plan.row_bin.pop_back();
   CheckReport report;
-  AuditPlan(plan, AmpleLimits(), &report);
+  AuditPlan(plan, CleanEmtRows(), AmpleLimits(), &report);
   EXPECT_EQ(report.count(Rule::kPlanCoverage), 1u);
 }
 
@@ -63,7 +71,7 @@ TEST(PlanAuditTest, RowInTwoCacheListsFiresCoverage) {
   plan.route[2] = partition::ListRouteWord(1, 0);
   plan.route[3] = partition::ListRouteWord(1, 1);
   CheckReport report;
-  AuditPlan(plan, AmpleLimits(), &report);
+  AuditPlan(plan, CleanEmtRows(), AmpleLimits(), &report);
   EXPECT_GE(report.count(Rule::kPlanCoverage), 1u);
 }
 
@@ -74,7 +82,7 @@ TEST(PlanAuditTest, OverfullBinFiresCapacity) {
   // 64 rows / 4 bins = 16 rows x 16 bytes per bin; allow only 8 rows.
   limits.emt_bytes = 8 * plan.geom.row_bytes();
   CheckReport report;
-  AuditPlan(plan, limits, &report);
+  AuditPlan(plan, plan.EmtRowsPerBin(), limits, &report);
   EXPECT_GE(report.count(Rule::kPlanCapacity), 1u);
 }
 
@@ -92,13 +100,13 @@ partition::PartitionPlan ListedPlan() {
 
 std::uint64_t ColocationViolations(const partition::PartitionPlan& plan) {
   CheckReport report;
-  AuditPlan(plan, AmpleLimits(), &report);
+  AuditPlan(plan, CleanEmtRows(), AmpleLimits(), &report);
   return report.count(Rule::kCacheColocation);
 }
 
 TEST(PlanAuditTest, ListedPlanWithValidRouteReportsNothing) {
   CheckReport report;
-  AuditPlan(ListedPlan(), AmpleLimits(), &report);
+  AuditPlan(ListedPlan(), CleanEmtRows(), AmpleLimits(), &report);
   EXPECT_TRUE(report.clean()) << report.ToString();
 }
 
@@ -153,7 +161,7 @@ TEST(PlanAuditTest, UnplacedListFiresColocation) {
   plan.route[1] = partition::ListRouteWord(0, 0);
   plan.route[2] = partition::ListRouteWord(0, 1);
   CheckReport report;
-  AuditPlan(plan, AmpleLimits(), &report);
+  AuditPlan(plan, CleanEmtRows(), AmpleLimits(), &report);
   EXPECT_GE(report.count(Rule::kCacheColocation), 1u);
 }
 
@@ -167,10 +175,10 @@ TEST(PlanAuditTest, WideNcUnderModelClaimFiresTileShape) {
   UPDLRM_CHECK(plan.ok());
   PlanAuditLimits limits = AmpleLimits();
   CheckReport report;
-  AuditPlan(*plan, limits, &report);
+  AuditPlan(*plan, plan->EmtRowsPerBin(), limits, &report);
   EXPECT_EQ(report.count(Rule::kTileShape), 0u);  // no claim, no rule
   limits.claims_uniform_model = true;
-  AuditPlan(*plan, limits, &report);
+  AuditPlan(*plan, plan->EmtRowsPerBin(), limits, &report);
   EXPECT_EQ(report.count(Rule::kTileShape), 1u);
 }
 

@@ -90,7 +90,7 @@ TEST(PlanValidateTest, DetectsCapacityOverflow) {
   auto plan = UniformPartition(*geom);
   ASSERT_TRUE(plan.ok());
   // 250 rows * 16 B = 4000 bytes per bin; a 1 KB capacity must fail.
-  const Status s = plan->Validate(BinCapacity{1024, 0});
+  const Status s = plan->Validate(BinCapacity{1024, 0}).status();
   EXPECT_EQ(s.code(), StatusCode::kCapacityExceeded);
 }
 

@@ -118,7 +118,7 @@ TEST(ReplicationTest, CapacityAccountsReplicaRegion) {
   ASSERT_TRUE(ApplyReplication(*plan, freq, 50).ok());
   // 25 rows/bin max minus replicas... replica region = 50 * 32 B; a
   // capacity that fits plain rows but not the replica copies must fail.
-  const Status tight = plan->Validate(BinCapacity{25 * 32, 0});
+  const Status tight = plan->Validate(BinCapacity{25 * 32, 0}).status();
   EXPECT_EQ(tight.code(), StatusCode::kCapacityExceeded);
   EXPECT_TRUE(plan->Validate(BinCapacity{80 * 32, 0}).ok());
 }

@@ -1,12 +1,14 @@
 // Statistical tiering / sharding planner tests: exact coverage,
-// epsilon mass budget, capacity clamps, the 1-shard identity, and
-// plan determinism.
+// epsilon mass budget, capacity clamps, the 1-shard identity, plan
+// determinism, and the least-loaded heap against a linear scan.
 #include "partition/tiering.h"
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "trace/profiler.h"
 
 namespace updlrm::partition {
@@ -146,6 +148,119 @@ TEST(TieringTest, PlanIsDeterministic) {
   }
   // Identical profiles produce identical per-table plans.
   EXPECT_EQ(a->tables[0].owner, a->tables[1].owner);
+}
+
+// Reference owners: the same tier split, then for every PIM row in
+// descending-frequency order a linear scan for the least-loaded shard
+// with room (access mass, then row count, then shard id).
+std::vector<std::uint32_t> ScanOwners(const trace::TableProfile& profile,
+                                      const TieringOptions& options) {
+  const std::size_t rows = profile.freq.size();
+  std::uint64_t total = 0;
+  for (const std::uint64_t f : profile.freq) total += f;
+  std::vector<bool> spilled(rows, false);
+  const double budget = options.dram_epsilon * static_cast<double>(total);
+  std::uint64_t spilled_mass = 0;
+  for (std::size_t i = profile.by_freq.size(); i-- > 0;) {
+    const std::uint32_t r = profile.by_freq[i];
+    const std::uint64_t f = profile.freq[r];
+    if (f == 0) {
+      if (!options.keep_zero_freq_on_pim) spilled[r] = true;
+      continue;
+    }
+    if (static_cast<double>(spilled_mass + f) > budget) break;
+    spilled_mass += f;
+    spilled[r] = true;
+  }
+  const std::uint32_t shards = options.num_shards;
+  std::vector<std::uint32_t> owner(rows, kHostDramShard);
+  std::vector<std::uint64_t> mass(shards, 0);
+  std::vector<std::uint64_t> count(shards, 0);
+  for (const std::uint32_t r : profile.by_freq) {
+    if (spilled[r]) continue;
+    std::uint32_t best = kHostDramShard;
+    for (std::uint32_t s = 0; s < shards; ++s) {
+      if (options.pim_capacity_rows_per_shard > 0 &&
+          count[s] >= options.pim_capacity_rows_per_shard) {
+        continue;
+      }
+      if (best == kHostDramShard || mass[s] < mass[best] ||
+          (mass[s] == mass[best] && count[s] < count[best])) {
+        best = s;
+      }
+    }
+    if (best == kHostDramShard) continue;
+    owner[r] = best;
+    ++count[best];
+    mass[best] += profile.freq[r];
+  }
+  return owner;
+}
+
+TEST(TieringTest, HeapPlacementMatchesLinearScan) {
+  struct Case {
+    std::string name;
+    std::vector<std::uint64_t> freq;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"ties", std::vector<std::uint64_t>(203, 7)});
+  {
+    std::vector<std::uint64_t> freq(500);
+    Rng rng(1234);
+    for (std::uint64_t& f : freq) {
+      // Few distinct values and many zeros: plenty of mass ties.
+      f = rng.NextBounded(4) == 0 ? 0 : 1 + rng.NextBounded(6);
+    }
+    cases.push_back({"small-values", std::move(freq)});
+  }
+  {
+    std::vector<std::uint64_t> freq(777);
+    Rng rng(99);
+    for (std::uint64_t& f : freq) f = rng.NextBounded(1000);
+    cases.push_back({"skewed", std::move(freq)});
+  }
+  for (const Case& c : cases) {
+    const trace::TableProfile profile = MakeProfile(c.freq);
+    const std::vector<trace::TableProfile> profiles = {profile};
+    for (const std::uint32_t shards : {1u, 2u, 16u}) {
+      for (const std::uint64_t capacity : {0u, 5u, 40u}) {
+        for (const bool keep_zero : {false, true}) {
+          for (const double epsilon : {0.0, 0.05}) {
+            TieringOptions options;
+            options.num_shards = shards;
+            options.pim_capacity_rows_per_shard = capacity;
+            options.keep_zero_freq_on_pim = keep_zero;
+            options.dram_epsilon = epsilon;
+            const std::string where =
+                c.name + " shards " + std::to_string(shards) +
+                " capacity " + std::to_string(capacity) + " keep_zero " +
+                std::to_string(keep_zero) + " epsilon " +
+                std::to_string(epsilon);
+            auto plan = BuildTierShardingPlan(profiles, options);
+            ASSERT_TRUE(plan.ok()) << where;
+            const TableTierPlan& t = plan->tables[0];
+            const std::vector<std::uint32_t> want =
+                ScanOwners(profile, options);
+            ASSERT_EQ(t.owner, want) << where;
+            std::vector<std::uint64_t> rows(shards, 0);
+            std::vector<std::uint64_t> mass(shards, 0);
+            std::uint64_t dram = 0;
+            for (std::size_t r = 0; r < want.size(); ++r) {
+              if (want[r] == kHostDramShard) {
+                ++dram;
+                continue;
+              }
+              ++rows[want[r]];
+              mass[want[r]] += c.freq[r];
+            }
+            EXPECT_EQ(t.shard_rows, rows) << where;
+            EXPECT_EQ(t.shard_accesses, mass) << where;
+            EXPECT_EQ(t.dram_rows, dram) << where;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -82,10 +82,11 @@ std::uint64_t CountAllocs(Fn&& fn) {
   return g_allocs.load(std::memory_order_relaxed) - before;
 }
 
-TEST(AllocTest, EngineBatchesAreAllocationFreeOnceWarm) {
-#if !UPDLRM_ALLOC_COUNTING
-  GTEST_SKIP() << "allocation counting disabled under sanitizers";
-#else
+#if UPDLRM_ALLOC_COUNTING
+// Warms a timing-only engine on 8 batches, then counts the heap
+// allocations of the same 8 batches again. Gtest assertions only run
+// outside the counted window.
+void ExpectWarmEngineBatchesAllocationFree(bool dedup) {
   dlrm::DlrmConfig config;
   config.num_tables = 2;
   config.rows_per_table = 600;
@@ -126,7 +127,7 @@ TEST(AllocTest, EngineBatchesAreAllocationFreeOnceWarm) {
   engine_options.reserved_io_bytes = 128 * kKiB;
   engine_options.grace.num_hot_items = 96;
   engine_options.num_threads = 1;  // inline ParallelFor path
-  engine_options.dedup = true;     // cover the dedup planner too
+  engine_options.dedup = dedup;
   auto engine = core::UpDlrmEngine::Create(nullptr, config, *trace,
                                            system->get(), engine_options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
@@ -155,6 +156,24 @@ TEST(AllocTest, EngineBatchesAreAllocationFreeOnceWarm) {
   });
   EXPECT_EQ(allocs, 0u) << "per-batch heap allocations in steady state";
   EXPECT_GT(checksum, 0.0);
+}
+#endif  // UPDLRM_ALLOC_COUNTING
+
+// Dedup on: routing walks every index to build the dedup keys.
+TEST(AllocTest, EngineBatchesAreAllocationFreeOnceWarm) {
+#if !UPDLRM_ALLOC_COUNTING
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#else
+  ExpectWarmEngineBatchesAllocationFree(/*dedup=*/true);
+#endif
+}
+
+// Dedup off: routing sums the per-sample route summary instead.
+TEST(AllocTest, SummaryRoutedBatchesAreAllocationFreeOnceWarm) {
+#if !UPDLRM_ALLOC_COUNTING
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#else
+  ExpectWarmEngineBatchesAllocationFree(/*dedup=*/false);
 #endif
 }
 

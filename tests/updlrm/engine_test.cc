@@ -6,12 +6,15 @@
 #include <array>
 #include <map>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "trace/generator.h"
+#include "updlrm/route_summary.h"
+#include "updlrm/scaleout.h"
 
 namespace updlrm::core {
 namespace {
@@ -756,6 +759,194 @@ TEST_P(RoutingOracleTest, PooledBitExactWithEachLever) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RoutingOracleTest,
                          ::testing::Values(3u, 17u, 101u));
+
+// ---- Route summary vs the per-index walk. ----
+//
+// A timing-only engine with dedup off takes each batch's per-bin counts
+// from its route summary; a functional engine over the same trace and
+// plan walks every index (it needs the MRAM slots). Their per-DPU
+// counters must agree after every batch: lookups are the EMT counts,
+// wram_hits the WRAM-tier counts, cache_reads the cache counts.
+
+void ExpectSameStats(const pim::DpuSystem& want, const pim::DpuSystem& got,
+                     const std::string& where) {
+  ASSERT_EQ(want.num_dpus(), got.num_dpus());
+  for (std::uint32_t d = 0; d < want.num_dpus(); ++d) {
+    const pim::DpuStats& a = want.dpu(d).stats();
+    const pim::DpuStats& b = got.dpu(d).stats();
+    EXPECT_EQ(a.kernel_cycles, b.kernel_cycles) << where << " DPU " << d;
+#define UPDLRM_EXPECT_SAME(name) \
+  EXPECT_EQ(a.name, b.name) << where << " DPU " << d << " " #name;
+    UPDLRM_DPU_COUNTER_FIELDS(UPDLRM_EXPECT_SAME)
+#undef UPDLRM_EXPECT_SAME
+  }
+}
+
+void ExpectSameEngineStats(const EmbeddingEngine& walk,
+                           const EmbeddingEngine& summary,
+                           const std::string& where) {
+  ASSERT_EQ(walk.num_systems(), summary.num_systems());
+  for (std::uint32_t s = 0; s < walk.num_systems(); ++s) {
+    ExpectSameStats(walk.system(s), summary.system(s),
+                    where + " system " + std::to_string(s));
+  }
+}
+
+// Random (possibly repeating) batches of 1-24 samples, then the whole
+// trace; per-DPU counters and stage times must match after each.
+void ExpectSummaryMatchesWalk(EmbeddingEngine& walk,
+                              EmbeddingEngine& summary, std::uint64_t seed,
+                              const std::string& where) {
+  Rng rng(seed);
+  const std::size_t n = walk.trace().num_samples();
+  std::vector<std::size_t> samples;
+  for (int b = 0; b < 12; ++b) {
+    samples.resize(1 + rng.NextBounded(24));
+    for (std::size_t& s : samples) s = rng.NextBounded(n);
+    auto want = walk.RunSamples(samples, nullptr);
+    auto got = summary.RunSamples(samples, nullptr);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(want->stages.dpu_lookup, got->stages.dpu_lookup) << where;
+    EXPECT_EQ(want->stages.cpu_to_dpu, got->stages.cpu_to_dpu) << where;
+    EXPECT_EQ(want->total, got->total) << where;
+    ExpectSameEngineStats(walk, summary,
+                          where + " batch " + std::to_string(b));
+  }
+  auto want = walk.RunAll(nullptr);
+  auto got = summary.RunAll(nullptr);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(want->stages.dpu_lookup, got->stages.dpu_lookup) << where;
+  ExpectSameEngineStats(walk, summary, where + " RunAll");
+}
+
+class RouteSummaryTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RouteSummaryTest, FlatEngineCountsMatchTheWalk) {
+  const std::uint64_t seed = GetParam();
+  for (const bool lists_on : {true, false}) {
+    for (const bool wram_on : {true, false}) {
+      const std::string where = std::string("lists ") +
+                                (lists_on ? "on" : "off") + ", wram " +
+                                (wram_on ? "on" : "off");
+      Fixture fn = MakeRoutingFixture(true, seed);
+      Fixture timing = MakeRoutingFixture(false, seed);
+      const std::vector<cache::CacheRes> lists =
+          RandomLists(timing.trace, seed);
+      EngineOptions options =
+          lists_on ? RoutingOptions(&lists)
+                   : SmallEngineOptions(partition::Method::kNonUniform, 4);
+      options.wram_cache_rows = wram_on ? 8 : 0;
+      auto walk = UpDlrmEngine::Create(fn.model.get(), fn.config, fn.trace,
+                                       fn.system.get(), options);
+      auto summary = UpDlrmEngine::Create(nullptr, timing.config,
+                                          timing.trace, timing.system.get(),
+                                          options);
+      ASSERT_TRUE(walk.ok()) << walk.status().ToString();
+      ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+      EXPECT_EQ((*summary)->groups()[0].plan.has_cache(), lists_on) << where;
+      EXPECT_EQ((*summary)->groups()[0].wram_cached.empty(), !wram_on)
+          << where;
+      ExpectSummaryMatchesWalk(**walk, **summary, seed, where);
+    }
+  }
+}
+
+TEST_P(RouteSummaryTest, ShardedFleetCountsMatchTheWalk) {
+  const std::uint64_t seed = GetParam();
+  Fixture fn = MakeRoutingFixture(true, seed);
+  Fixture timing = MakeRoutingFixture(false, seed);
+  ShardedEngineConfig fleet;
+  fleet.shard_system = fn.system->config();
+  fleet.tiering.num_shards = 2;
+  fleet.tiering.dram_epsilon = 0.05;
+  EngineOptions options =
+      SmallEngineOptions(partition::Method::kCacheAware, 4);
+  options.wram_cache_rows = 8;
+  auto walk = ShardedEngine::Create(fn.model.get(), fn.config, fn.trace,
+                                    fleet, options);
+  fleet.shard_system.functional = false;
+  auto summary = ShardedEngine::Create(nullptr, timing.config, timing.trace,
+                                       fleet, options);
+  ASSERT_TRUE(walk.ok()) << walk.status().ToString();
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  ExpectSummaryMatchesWalk(**walk, **summary, seed, "fleet");
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RouteSummaryTest,
+                         ::testing::Values(3u, 17u, 101u));
+
+// One sample references every row of a 2-bin table, so each bin's EMT
+// count exceeds an entry's count field and must split over entries.
+TEST(RouteSummaryOverflowTest, CountSplitsOverEntries) {
+  constexpr std::uint64_t kRows = 4 * (RouteSummary::kMaxEntryCount + 1);
+  auto make = [&](bool functional) {
+    Fixture f;
+    f.config.num_tables = 1;
+    f.config.rows_per_table = kRows;
+    f.config.embedding_dim = 8;
+    f.config.dense_features = 5;
+    f.config.bottom_hidden = {16};
+    f.config.top_hidden = {16};
+    f.config.seed = 5;
+    if (functional) {
+      auto model = dlrm::DlrmModel::Create(f.config);
+      UPDLRM_CHECK(model.ok());
+      f.model = std::make_unique<dlrm::DlrmModel>(std::move(model).value());
+    }
+    f.trace.num_items = kRows;
+    trace::TableTrace& table = f.trace.tables.emplace_back();
+    std::vector<std::uint32_t> all(kRows);
+    for (std::uint32_t r = 0; r < kRows; ++r) all[r] = r;
+    table.AppendSample(all);
+    Rng rng(9);
+    for (int s = 0; s < 15; ++s) {
+      std::vector<std::uint32_t> rows;
+      for (std::uint32_t r = 0; r < kRows; ++r) {
+        if (rng.NextBounded(8) == 0) rows.push_back(r);
+      }
+      table.AppendSample(rows);
+    }
+    pim::DpuSystemConfig sys;
+    sys.num_dpus = 2;  // nc 8: one column shard, two bins
+    sys.dpus_per_rank = 2;
+    sys.dpu.mram_bytes = 1 * kMiB;
+    sys.functional = functional;
+    auto system = pim::DpuSystem::Create(sys);
+    UPDLRM_CHECK(system.ok());
+    f.system = std::move(system).value();
+    return f;
+  };
+  Fixture fn = make(true);
+  Fixture timing = make(false);
+  EngineOptions options = SmallEngineOptions(partition::Method::kUniform, 8);
+  auto walk = UpDlrmEngine::Create(fn.model.get(), fn.config, fn.trace,
+                                   fn.system.get(), options);
+  auto summary = UpDlrmEngine::Create(nullptr, timing.config, timing.trace,
+                                      timing.system.get(), options);
+  ASSERT_TRUE(walk.ok()) << walk.status().ToString();
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+
+  const TableGroup& group = (*summary)->groups()[0];
+  ASSERT_EQ(group.plan.geom.row_shards, 2u);
+  const RouteSummary routes = BuildRouteSummary(group, timing.trace.tables[0]);
+  std::vector<std::uint64_t> want(2, 0);
+  for (std::uint32_t r = 0; r < kRows; ++r) ++want[group.plan.row_bin[r]];
+  std::vector<std::uint64_t> got(2, 0);
+  for (const std::uint32_t entry : routes.Sample(0)) {
+    EXPECT_EQ(RouteSummary::Kind(entry), RouteKind::kEmt);
+    EXPECT_GT(RouteSummary::Count(entry), 0u);
+    got[RouteSummary::Bin(entry)] += RouteSummary::Count(entry);
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_GT(want[0], RouteSummary::kMaxEntryCount);
+  EXPECT_GT(want[1], RouteSummary::kMaxEntryCount);
+  EXPECT_GT(routes.Sample(0).size(), 2u);
+  EXPECT_LE(routes.entries.size(), timing.trace.tables[0].num_lookups());
+
+  ExpectSummaryMatchesWalk(**walk, **summary, 7, "overflow");
+}
 
 }  // namespace
 }  // namespace updlrm::core

@@ -124,8 +124,10 @@ TableGroup UniformGroup(std::uint64_t rows) {
   UPDLRM_CHECK(geom.ok());
   auto plan = partition::UniformPartition(*geom);
   UPDLRM_CHECK(plan.ok());
+  std::vector<std::uint64_t> emt_rows = plan->EmtRowsPerBin();
   auto group = BuildTableGroup(0, 0, std::move(plan).value(),
-                               SmallSystemConfig(), 128 * kKiB, true);
+                               std::move(emt_rows), SmallSystemConfig(),
+                               128 * kKiB, true);
   UPDLRM_CHECK(group.ok());
   return std::move(group).value();
 }

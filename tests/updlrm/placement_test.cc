@@ -32,8 +32,19 @@ partition::PartitionPlan UniformPlan(std::uint64_t rows,
   return std::move(plan).value();
 }
 
+// BuildTableGroup for table 0 on the first DPUs, with the plan's own
+// EMT row counts.
+Result<TableGroup> LayOut(partition::PartitionPlan plan,
+                          const pim::DpuSystemConfig& config,
+                          std::uint64_t reserved_io_bytes,
+                          bool build_row_slots) {
+  std::vector<std::uint64_t> emt_rows = plan.EmtRowsPerBin();
+  return BuildTableGroup(0, 0, std::move(plan), std::move(emt_rows), config,
+                         reserved_io_bytes, build_row_slots);
+}
+
 TEST(PlacementTest, LayoutRegionsAreDisjointAndOrdered) {
-  auto group = BuildTableGroup(0, 0, UniformPlan(100, 8, 4),
+  auto group = LayOut(UniformPlan(100, 8, 4),
                                SmallSystemConfig(), kReservedIo, true);
   ASSERT_TRUE(group.ok());
   const MramLayout& l = group->layout;
@@ -47,7 +58,7 @@ TEST(PlacementTest, LayoutRegionsAreDisjointAndOrdered) {
 }
 
 TEST(PlacementTest, RowSlotsAreDensePerBin) {
-  auto group = BuildTableGroup(0, 0, UniformPlan(100, 8, 4),
+  auto group = LayOut(UniformPlan(100, 8, 4),
                                SmallSystemConfig(), kReservedIo, true);
   ASSERT_TRUE(group.ok());
   // 2 col shards => 4 bins of 25 rows; slots 0..24 within each bin.
@@ -63,14 +74,14 @@ TEST(PlacementTest, RowSlotsAreDensePerBin) {
 }
 
 TEST(PlacementTest, TimingOnlySkipsRowSlots) {
-  auto group = BuildTableGroup(0, 0, UniformPlan(100, 8, 4),
+  auto group = LayOut(UniformPlan(100, 8, 4),
                                SmallSystemConfig(), kReservedIo, false);
   ASSERT_TRUE(group.ok());
   EXPECT_TRUE(group->row_slot.empty());
 }
 
 TEST(PlacementTest, RejectsTooSmallReservedIo) {
-  auto group = BuildTableGroup(0, 0, UniformPlan(100, 8, 4),
+  auto group = LayOut(UniformPlan(100, 8, 4),
                                SmallSystemConfig(), 64 * kKiB, true);
   EXPECT_FALSE(group.ok());
 }
@@ -78,7 +89,7 @@ TEST(PlacementTest, RejectsTooSmallReservedIo) {
 TEST(PlacementTest, RejectsMramOverflow) {
   pim::DpuSystemConfig config = SmallSystemConfig();
   config.dpu.mram_bytes = 160 * kKiB;  // not enough for EMT + IO regions
-  auto group = BuildTableGroup(0, 0, UniformPlan(20'000, 8, 4), config,
+  auto group = LayOut(UniformPlan(20'000, 8, 4), config,
                                kReservedIo, true);
   ASSERT_FALSE(group.ok());
   EXPECT_EQ(group.status().code(), StatusCode::kCapacityExceeded);
@@ -89,7 +100,7 @@ TEST(PlacementTest, PlacedRowsReadBackExactly) {
   ASSERT_TRUE(system.ok());
   auto table = dlrm::EmbeddingTable::Create(100, 8, 99);
   ASSERT_TRUE(table.ok());
-  auto group = BuildTableGroup(0, 0, UniformPlan(100, 8, 4),
+  auto group = LayOut(UniformPlan(100, 8, 4),
                                SmallSystemConfig(), kReservedIo, true);
   ASSERT_TRUE(group.ok());
   ASSERT_TRUE(PlaceTable(*table, *group, **system).ok());
@@ -137,7 +148,7 @@ TEST(PlacementTest, CacheSubsetSumsReadBackExactly) {
   auto result = partition::CacheAwarePartition(*geom, freq, res, ca);
   ASSERT_TRUE(result.ok());
 
-  auto group = BuildTableGroup(0, 0, result->plan, SmallSystemConfig(),
+  auto group = LayOut(result->plan, SmallSystemConfig(),
                                kReservedIo, true);
   ASSERT_TRUE(group.ok());
   ASSERT_TRUE(PlaceTable(*table, *group, **system).ok());
@@ -176,7 +187,7 @@ TEST(PlacementTest, PlaceTableRequiresFunctionalSystem) {
   ASSERT_TRUE(system.ok());
   auto table = dlrm::EmbeddingTable::Create(100, 8, 1);
   ASSERT_TRUE(table.ok());
-  auto group = BuildTableGroup(0, 0, UniformPlan(100, 8, 4), config,
+  auto group = LayOut(UniformPlan(100, 8, 4), config,
                                kReservedIo, true);
   ASSERT_TRUE(group.ok());
   EXPECT_EQ(PlaceTable(*table, *group, **system).code(),
@@ -188,7 +199,7 @@ TEST(PlacementTest, PlaceTableRejectsShapeMismatch) {
   ASSERT_TRUE(system.ok());
   auto table = dlrm::EmbeddingTable::Create(50, 8, 1);  // wrong rows
   ASSERT_TRUE(table.ok());
-  auto group = BuildTableGroup(0, 0, UniformPlan(100, 8, 4),
+  auto group = LayOut(UniformPlan(100, 8, 4),
                                SmallSystemConfig(), kReservedIo, true);
   ASSERT_TRUE(group.ok());
   EXPECT_FALSE(PlaceTable(*table, *group, **system).ok());
