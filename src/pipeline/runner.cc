@@ -358,8 +358,9 @@ Status RunServeLoop(core::EmbeddingEngine& engine,
 }  // namespace
 
 Result<DataFlowServeResult> RunDataFlowSimulation(
-    core::UpDlrmEngine& engine, std::span<const serve::Request> requests,
+    core::EmbeddingEngine& engine, std::span<const serve::Request> requests,
     const dlrm::DenseInputs* dense, const DataFlowServeOptions& options) {
+  UPDLRM_RETURN_IF_ERROR(options.gpu.Validate());
   const dlrm::DlrmConfig& config = engine.config();
   const host::GpuTimingModel gpu(options.gpu);
   const DataFlowPlan& plan = options.plan;
@@ -428,14 +429,9 @@ Result<DataFlowServeResult> RunDataFlowSimulation(
     cap.depth = plan.depth;
     cap.max_index_bytes = max_index_bytes;
     cap.max_output_bytes = max_output_bytes;
-    cap.index_region_bytes = ~0ULL;
-    cap.output_region_bytes = ~0ULL;
-    for (const core::TableGroup& g : engine.groups()) {
-      cap.index_region_bytes =
-          std::min(cap.index_region_bytes, g.layout.index_bytes);
-      cap.output_region_bytes =
-          std::min(cap.output_region_bytes, g.layout.output_bytes);
-    }
+    const core::EmbeddingEngine::IoRegions regions = engine.MinIoRegions();
+    cap.index_region_bytes = regions.index_bytes;
+    cap.output_region_bytes = regions.output_bytes;
     check::AuditDataFlowCapacity(cap, options.audit);
     for (std::size_t b = 0; b < result.schedule.size(); ++b) {
       check::AuditStageOrdering(b, FlattenInstants(result.schedule[b]),

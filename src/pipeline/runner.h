@@ -60,13 +60,14 @@ struct DataFlowServeResult : serve::ServeSummary {
 };
 
 /// Simulates full-path serving of `requests` (time-ordered) on `engine`
-/// under `options.plan`. `dense` supplies the continuous features for
-/// CTR computation (sample ids index it like the trace); pass nullptr
-/// to skip CTR even on a functional engine. Fails if a request
-/// references a sample outside the engine's trace; malformed input is
-/// rejected as in serve::RunServeSimulation.
+/// — the flat engine or a sharded fleet — under `options.plan`.
+/// `dense` supplies the continuous features for CTR computation (sample
+/// ids index it like the trace); pass nullptr to skip CTR even on a
+/// functional engine. Fails if a request references a sample outside
+/// the engine's trace; malformed input, invalid `options.gpu` included,
+/// is rejected with InvalidArgument as in serve::RunServeSimulation.
 Result<DataFlowServeResult> RunDataFlowSimulation(
-    core::UpDlrmEngine& engine, std::span<const serve::Request> requests,
+    core::EmbeddingEngine& engine, std::span<const serve::Request> requests,
     const dlrm::DenseInputs* dense, const DataFlowServeOptions& options);
 
 }  // namespace updlrm::pipeline

@@ -7,52 +7,14 @@
 
 namespace updlrm::pipeline {
 
-namespace {
-
-// Decisions transfer across runs that share the model shape, the batch
-// size, and the backend inventory — the inputs ComputeBatchTaskCosts
-// and the executor actually read.
-std::string CacheKey(const dlrm::DlrmConfig& config,
-                     const serve::BatcherOptions& batcher,
-                     bool gpu_available) {
-  std::string key;
-  key += "t";
-  key += std::to_string(config.num_tables);
-  key += ".d";
-  key += std::to_string(config.embedding_dim);
-  key += ".f";
-  key += std::to_string(config.dense_features);
-  key += ".i";
-  key += std::to_string(static_cast<int>(config.interaction));
-  key += ".b";
-  for (const std::uint32_t w : config.bottom_hidden) {
-    key += std::to_string(w) + "-";
-  }
-  key += ".h";
-  for (const std::uint32_t w : config.top_hidden) {
-    key += std::to_string(w) + "-";
-  }
-  key += ".n";
-  key += std::to_string(batcher.max_batch_size);
-  key += gpu_available ? ".gpu" : ".nogpu";
-  return key;
-}
-
-}  // namespace
-
 Result<TunedDataFlow> DataFlowTuner::Tune(
-    core::UpDlrmEngine& engine, std::span<const serve::Request> requests,
-    const serve::BatcherOptions& batcher) {
-  const dlrm::DlrmConfig& config = engine.config();
-  const std::string key = CacheKey(config, batcher, options_.gpu_available);
-  if (const auto it = memo_.find(key); it != memo_.end()) {
-    TunedDataFlow cached = it->second;
-    cached.from_cache = true;
-    return cached;
-  }
+    core::EmbeddingEngine& engine, std::span<const serve::Request> requests,
+    const serve::BatcherOptions& batcher) const {
   if (requests.empty()) {
     return Status::InvalidArgument("tuner needs a non-empty request stream");
   }
+  UPDLRM_RETURN_IF_ERROR(options_.gpu.Validate());
+  const dlrm::DlrmConfig& config = engine.config();
 
   // One probe batch at the serving batch size supplies the embedding
   // stage times every candidate is priced against.
@@ -70,7 +32,6 @@ Result<TunedDataFlow> DataFlowTuner::Tune(
   DataFlowSpace space = options_.space;
   space.bottom_layers =
       static_cast<std::uint32_t>(config.bottom_hidden.size()) + 1;
-  space.allow_gpu = space.allow_gpu && options_.gpu_available;
 
   const host::GpuTimingModel gpu(options_.gpu);
   TunedDataFlow tuned;
@@ -98,20 +59,15 @@ Result<TunedDataFlow> DataFlowTuner::Tune(
           ? rank.size()
           : std::min(options_.calibrate_top_n, rank.size());
 
-  const std::span<const serve::Request> calibration =
-      options_.calibration_requests == 0
-          ? requests
-          : requests.subspan(0, std::min(options_.calibration_requests,
-                                         requests.size()));
   for (std::size_t i = 0; i < to_calibrate; ++i) {
     CandidateOutcome& outcome = tuned.candidates[rank[i]];
     DataFlowServeOptions serve_options;
     serve_options.batcher = batcher;
     serve_options.plan = outcome.plan;
     serve_options.gpu = options_.gpu;
-    serve_options.gpu_available = options_.gpu_available;
+    serve_options.gpu_available = space.allow_gpu;
     // Timing-only calibration: skip CTR computation.
-    auto run = RunDataFlowSimulation(engine, calibration, nullptr,
+    auto run = RunDataFlowSimulation(engine, requests, nullptr,
                                      serve_options);
     if (!run.ok()) return run.status();
     outcome.measured_p99_ns = run->latency.PercentileNs(99.0);
@@ -140,7 +96,6 @@ Result<TunedDataFlow> DataFlowTuner::Tune(
                    "tuner calibrated no candidate");
   tuned.best = tuned.candidates[best].plan;
   tuned.best_p99_ns = tuned.candidates[best].measured_p99_ns;
-  memo_.emplace(key, tuned);
   return tuned;
 }
 

@@ -9,14 +9,12 @@
 // probe batch under each with the calibrated cost models, rank by the
 // analytic steady-state prediction, then *calibrate* the finalists with
 // real simulated serving runs and pick the measured-p99 winner.
-// Decisions are memoized per (model shape, batch size, GPU
-// availability) so repeated serving runs pay the search once.
+// Every Tune call runs its own search: the probe batch's stage times
+// belong to the engine and trace it was given.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -30,19 +28,15 @@ namespace updlrm::pipeline {
 
 struct TunerOptions {
   /// Enumeration bounds. `bottom_layers` is filled in from the engine's
-  /// model config; `allow_gpu` is additionally gated on gpu_available.
+  /// model config; `allow_gpu` says whether the serving config
+  /// provisions a GPU at all.
   DataFlowSpace space;
   /// Candidates (by predicted rank) to calibrate with real simulated
   /// runs; 0 calibrates *every* candidate (the ablation mode — makes
   /// the tuner's pick dominate all static plans by construction).
   std::size_t calibrate_top_n = 3;
-  /// Leading requests of the stream used for calibration runs; 0 uses
-  /// the whole stream.
-  std::size_t calibration_requests = 0;
   /// GPU backend offloaded placements are priced against.
   host::GpuModelParams gpu;
-  /// Whether the serving config provisions a GPU at all.
-  bool gpu_available = true;
 };
 
 /// One enumerated candidate's scorecard.
@@ -61,28 +55,23 @@ struct TunedDataFlow {
   Nanos best_p99_ns = 0.0;
   /// Every enumerated candidate, in enumeration order.
   std::vector<CandidateOutcome> candidates;
-  /// True when this decision came from the memo (no new search ran).
-  bool from_cache = false;
 };
 
 class DataFlowTuner {
  public:
   explicit DataFlowTuner(TunerOptions options) : options_(options) {}
 
-  /// Picks the data flow for serving `requests` on `engine` under
-  /// `batcher`. Winner: lowest calibrated p99, ties broken by lower
-  /// predicted score, then enumeration order — deterministic.
-  Result<TunedDataFlow> Tune(core::UpDlrmEngine& engine,
+  /// Picks the data flow for serving `requests` on `engine` (the flat
+  /// engine or a sharded fleet) under `batcher`. Winner: lowest
+  /// calibrated p99, ties broken by lower predicted score, then
+  /// enumeration order — deterministic. InvalidArgument on an empty
+  /// stream or invalid `options.gpu`.
+  Result<TunedDataFlow> Tune(core::EmbeddingEngine& engine,
                              std::span<const serve::Request> requests,
-                             const serve::BatcherOptions& batcher);
-
-  const TunerOptions& options() const { return options_; }
+                             const serve::BatcherOptions& batcher) const;
 
  private:
   TunerOptions options_;
-  /// Memo keyed on (model-shape signature, batch size, GPU
-  /// availability).
-  std::map<std::string, TunedDataFlow> memo_;
 };
 
 }  // namespace updlrm::pipeline

@@ -1234,6 +1234,16 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
   return out;
 }
 
+EmbeddingEngine::IoRegions UpDlrmEngine::MinIoRegions() const {
+  IoRegions regions;
+  for (const TableGroup& g : groups_) {
+    regions.index_bytes = std::min(regions.index_bytes, g.layout.index_bytes);
+    regions.output_bytes =
+        std::min(regions.output_bytes, g.layout.output_bytes);
+  }
+  return regions;
+}
+
 std::optional<UpDlrmEngine::DpuLocation> UpDlrmEngine::LocateDpu(
     std::uint32_t dpu) const {
   for (std::uint32_t t = 0; t < static_cast<std::uint32_t>(groups_.size());

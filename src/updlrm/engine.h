@@ -162,6 +162,15 @@ class EmbeddingEngine {
   /// options.check_mode is off).
   virtual std::uint64_t check_violations() const = 0;
 
+  /// The smallest stage-1 index and stage-3 output MRAM regions any DPU
+  /// of this engine carved out (MramLayout::index_bytes /
+  /// output_bytes): the bound every in-flight buffer pair must fit.
+  struct IoRegions {
+    std::uint64_t index_bytes = ~0ULL;
+    std::uint64_t output_bytes = ~0ULL;
+  };
+  virtual IoRegions MinIoRegions() const = 0;
+
   const EngineOptions& options() const { return options_; }
   bool functional() const { return model_ != nullptr; }
   /// The reference model (null in timing-only mode). The full-path
@@ -256,6 +265,8 @@ class UpDlrmEngine final : public EmbeddingEngine {
   std::uint64_t check_violations() const override {
     return checker_ != nullptr ? checker_->report().total() : 0;
   }
+  /// Minimum over the table groups.
+  IoRegions MinIoRegions() const override;
 
   ~UpDlrmEngine() override;
 

@@ -326,4 +326,14 @@ std::uint64_t ShardedEngine::check_violations() const {
   return total;
 }
 
+EmbeddingEngine::IoRegions ShardedEngine::MinIoRegions() const {
+  IoRegions regions;
+  for (const auto& shard : shards_) {
+    const IoRegions r = shard->MinIoRegions();
+    regions.index_bytes = std::min(regions.index_bytes, r.index_bytes);
+    regions.output_bytes = std::min(regions.output_bytes, r.output_bytes);
+  }
+  return regions;
+}
+
 }  // namespace updlrm::core

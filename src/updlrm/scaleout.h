@@ -82,6 +82,8 @@ class ShardedEngine final : public EmbeddingEngine {
   }
   /// Total violations: fleet-level plus every shard engine's.
   std::uint64_t check_violations() const override;
+  /// Minimum over the shards.
+  IoRegions MinIoRegions() const override;
 
   std::uint32_t num_shards() const {
     return static_cast<std::uint32_t>(shards_.size());

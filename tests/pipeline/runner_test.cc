@@ -1,16 +1,18 @@
 // Full-path serving simulation: arrivals -> batcher -> engine embedding
 // run -> data-flow executor -> CTR outputs + tail metrics, with the
-// check-mode audits riding along.
+// check-mode audits riding along, on the flat engine and on fleets.
 #include "pipeline/runner.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <vector>
 
 #include "check/dataflow_audit.h"
 #include "trace/generator.h"
+#include "updlrm/scaleout.h"
 
 namespace updlrm::pipeline {
 namespace {
@@ -88,6 +90,49 @@ std::vector<serve::Request> Arrivals(const trace::Trace& trace, double qps,
   auto requests = serve::GenerateRequests(trace, 0, options);
   UPDLRM_CHECK(requests.ok());
   return std::move(requests).value();
+}
+
+// A fleet over the fixture's model, trace and engine options, every
+// row on PIM; one shard is the identity fleet.
+std::unique_ptr<core::ShardedEngine> MakeFleet(const Fixture& f,
+                                               std::uint32_t shards) {
+  core::ShardedEngineConfig fleet;
+  fleet.shard_system = f.system->config();
+  fleet.tiering.num_shards = shards;
+  fleet.tiering.keep_zero_freq_on_pim = true;
+  auto sharded = core::ShardedEngine::Create(
+      f.model.get(), f.config, f.trace, fleet, f.engine->options());
+  UPDLRM_CHECK_MSG(sharded.ok(), sharded.status().ToString().c_str());
+  return std::move(sharded).value();
+}
+
+void ExpectSameBatch(const ExecutedFlowBatch& got,
+                     const ExecutedFlowBatch& want, std::size_t b) {
+  EXPECT_EQ(got.costs.emb.cpu_to_dpu, want.costs.emb.cpu_to_dpu) << b;
+  EXPECT_EQ(got.costs.emb.dpu_lookup, want.costs.emb.dpu_lookup) << b;
+  EXPECT_EQ(got.costs.emb.dpu_to_cpu, want.costs.emb.dpu_to_cpu) << b;
+  EXPECT_EQ(got.costs.emb.cpu_aggregate, want.costs.emb.cpu_aggregate) << b;
+  EXPECT_EQ(got.costs.bottom_pre, want.costs.bottom_pre) << b;
+  EXPECT_EQ(got.costs.bottom_post, want.costs.bottom_post) << b;
+  EXPECT_EQ(got.costs.bottom_gpu, want.costs.bottom_gpu) << b;
+  EXPECT_EQ(got.costs.interact, want.costs.interact) << b;
+  EXPECT_EQ(got.costs.top_mlp, want.costs.top_mlp) << b;
+  EXPECT_EQ(got.costs.top_gpu, want.costs.top_gpu) << b;
+  EXPECT_EQ(got.cut_ns, want.cut_ns) << b;
+  EXPECT_EQ(got.s1_start_ns, want.s1_start_ns) << b;
+  EXPECT_EQ(got.s1_end_ns, want.s1_end_ns) << b;
+  EXPECT_EQ(got.s2_start_ns, want.s2_start_ns) << b;
+  EXPECT_EQ(got.s2_end_ns, want.s2_end_ns) << b;
+  EXPECT_EQ(got.s3_start_ns, want.s3_start_ns) << b;
+  EXPECT_EQ(got.s3_end_ns, want.s3_end_ns) << b;
+  EXPECT_EQ(got.bpre_start_ns, want.bpre_start_ns) << b;
+  EXPECT_EQ(got.bpre_end_ns, want.bpre_end_ns) << b;
+  EXPECT_EQ(got.bpost_start_ns, want.bpost_start_ns) << b;
+  EXPECT_EQ(got.bpost_end_ns, want.bpost_end_ns) << b;
+  EXPECT_EQ(got.bottom_done_ns, want.bottom_done_ns) << b;
+  EXPECT_EQ(got.top_start_ns, want.top_start_ns) << b;
+  EXPECT_EQ(got.top_end_ns, want.top_end_ns) << b;
+  EXPECT_EQ(got.done_ns, want.done_ns) << b;
 }
 
 DataFlowServeOptions BaseOptions() {
@@ -172,6 +217,66 @@ TEST(RunnerTest, LegalPlanPassesEveryAudit) {
                                       options);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(report.clean()) << report.ToString();
+}
+
+// One DLRM path for every engine: the 1-shard identity fleet serves
+// the full path exactly like the flat engine, under a host plan and
+// under the DPU+GPU (UpDLRM-G) plan.
+TEST(RunnerTest, SingleShardFleetServesTheDlrmPathLikeTheFlatEngine) {
+  Fixture f = MakeFixture(/*functional=*/true);
+  const std::unique_ptr<core::ShardedEngine> fleet = MakeFleet(f, 1);
+  const auto requests = Arrivals(f.trace, 1.0e6);
+  DataFlowServeOptions gpu = BaseOptions();
+  gpu.plan.bottom = Backend::kGpu;
+  gpu.plan.bottom_split = 0;
+  gpu.plan.top = Backend::kGpu;
+  for (const DataFlowServeOptions& options : {BaseOptions(), gpu}) {
+    SCOPED_TRACE(Name(options.plan));
+    auto want = RunDataFlowSimulation(*f.engine, requests, &f.dense,
+                                      options);
+    auto got = RunDataFlowSimulation(*fleet, requests, &f.dense, options);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(got->ctr.size(), requests.size());
+    EXPECT_EQ(got->ctr, want->ctr);
+    EXPECT_EQ(got->request_latency_ns, want->request_latency_ns);
+    EXPECT_EQ(got->makespan_ns, want->makespan_ns);
+    ASSERT_EQ(got->schedule.size(), want->schedule.size());
+    for (std::size_t b = 0; b < want->schedule.size(); ++b) {
+      ExpectSameBatch(got->schedule[b], want->schedule[b], b);
+    }
+  }
+}
+
+// A real fleet on the full path: a legal plan passes every audit, and
+// the capacity audit bounds the buffers by the smallest regions any
+// shard carved out.
+TEST(RunnerTest, TwoShardFleetPassesEveryAudit) {
+  Fixture f = MakeFixture(/*functional=*/false);
+  const std::unique_ptr<core::ShardedEngine> fleet = MakeFleet(f, 2);
+  const auto requests = Arrivals(f.trace, 1.0e6);
+  check::CheckReport report;
+  DataFlowServeOptions options = BaseOptions();
+  options.audit = &report;
+  auto result = RunDataFlowSimulation(*fleet, requests, nullptr, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->completed, requests.size());
+  EXPECT_TRUE(report.clean()) << report.ToString();
+
+  core::EmbeddingEngine::IoRegions smallest;
+  for (std::uint32_t s = 0; s < fleet->num_shards(); ++s) {
+    for (const core::TableGroup& g : fleet->shard(s).groups()) {
+      smallest.index_bytes = std::min(smallest.index_bytes,
+                                      g.layout.index_bytes);
+      smallest.output_bytes = std::min(smallest.output_bytes,
+                                       g.layout.output_bytes);
+    }
+  }
+  const core::EmbeddingEngine::IoRegions regions = fleet->MinIoRegions();
+  EXPECT_EQ(regions.index_bytes, smallest.index_bytes);
+  EXPECT_EQ(regions.output_bytes, smallest.output_bytes);
+  EXPECT_GT(regions.index_bytes, 0u);
+  EXPECT_LT(regions.index_bytes, ~0ULL);
 }
 
 TEST(RunnerTest, ShapeAuditFlagsAnOversizedBottomSplit) {
@@ -261,6 +366,8 @@ TEST(RunnerTest, RejectsMalformedInput) {
   cases.back().options.batcher.max_queue_delay_ns = -1.0;
   cases.push_back({"infinite queue delay", ok, BaseOptions()});
   cases.back().options.batcher.max_queue_delay_ns = inf;
+  cases.push_back({"invalid gpu params", ok, BaseOptions()});
+  cases.back().options.gpu.mlp_efficiency = 0.0;
   for (const Case& c : cases) {
     auto result =
         RunDataFlowSimulation(*f.engine, c.requests, nullptr, c.options);

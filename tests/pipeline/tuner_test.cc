@@ -1,6 +1,7 @@
 // The data-flow auto-tuner: deterministic candidate search, calibrated
 // winner selection, dominance over every static plan in full-calibration
-// mode, and the per-shape memo.
+// mode, a fresh search per call, and the CPU/GPU crossover of the
+// DPU+GPU system (UpDLRM-G).
 #include "pipeline/tuner.h"
 
 #include <gtest/gtest.h>
@@ -21,14 +22,16 @@ struct Fixture {
   std::unique_ptr<core::UpDlrmEngine> engine;
 };
 
-Fixture MakeFixture(std::size_t samples = 96) {
+Fixture MakeFixture(std::vector<std::uint32_t> bottom = {16},
+                    std::vector<std::uint32_t> top = {16},
+                    std::uint64_t trace_seed = 31) {
   Fixture f;
   f.config.num_tables = 2;
   f.config.rows_per_table = 600;
   f.config.embedding_dim = 8;
   f.config.dense_features = 5;
-  f.config.bottom_hidden = {16};
-  f.config.top_hidden = {16};
+  f.config.bottom_hidden = std::move(bottom);
+  f.config.top_hidden = std::move(top);
   f.config.seed = 31;
 
   trace::DatasetSpec spec;
@@ -39,9 +42,9 @@ Fixture MakeFixture(std::size_t samples = 96) {
   spec.rank_jitter = 0.1;
   spec.clique_prob = 0.6;
   spec.num_hot_items = 96;
-  spec.seed = 31;
+  spec.seed = trace_seed;
   trace::TraceGeneratorOptions options;
-  options.num_samples = samples;
+  options.num_samples = 96;
   options.num_tables = 2;
   auto t = trace::TraceGenerator(spec).Generate(options);
   UPDLRM_CHECK(t.ok());
@@ -100,7 +103,6 @@ TEST(TunerTest, PicksACalibratedWinnerDeterministically) {
   DataFlowTuner a(SmallSearch());
   auto first = a.Tune(*f.engine, requests, Batcher());
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_FALSE(first->from_cache);
   EXPECT_FALSE(first->candidates.empty());
   EXPECT_GT(first->best_p99_ns, 0.0);
   std::size_t calibrated = 0;
@@ -123,22 +125,37 @@ TEST(TunerTest, PicksACalibratedWinnerDeterministically) {
   EXPECT_EQ(second->best_p99_ns, first->best_p99_ns);
 }
 
-TEST(TunerTest, MemoizesPerModelShapeAndBatchSize) {
-  Fixture f = MakeFixture();
-  const auto requests = Arrivals(f.trace, 1.0e6);
+// One tuner, two engines that share the model shape but serve
+// different traces: each call prices its own engine's probe batch and
+// calibrates on its own engine, exactly as a fresh tuner would.
+TEST(TunerTest, EveryCallRunsItsOwnSearch) {
+  Fixture a = MakeFixture();
+  Fixture b = MakeFixture({16}, {16}, /*trace_seed=*/77);
+  const auto requests_a = Arrivals(a.trace, 1.0e6);
+  const auto requests_b = Arrivals(b.trace, 1.0e6);
   DataFlowTuner tuner(SmallSearch());
-  auto first = tuner.Tune(*f.engine, requests, Batcher());
-  ASSERT_TRUE(first.ok());
-  auto again = tuner.Tune(*f.engine, requests, Batcher());
-  ASSERT_TRUE(again.ok());
-  EXPECT_TRUE(again->from_cache);
-  EXPECT_EQ(again->best, first->best);
-  // A different batch size is a different decision point.
-  serve::BatcherOptions other = Batcher();
-  other.max_batch_size = 4;
-  auto smaller = tuner.Tune(*f.engine, requests, other);
-  ASSERT_TRUE(smaller.ok());
-  EXPECT_FALSE(smaller->from_cache);
+  auto on_a = tuner.Tune(*a.engine, requests_a, Batcher());
+  auto on_b = tuner.Tune(*b.engine, requests_b, Batcher());
+  auto fresh_b = DataFlowTuner(SmallSearch())
+                     .Tune(*b.engine, requests_b, Batcher());
+  ASSERT_TRUE(on_a.ok() && on_b.ok() && fresh_b.ok());
+  ASSERT_EQ(on_b->candidates.size(), fresh_b->candidates.size());
+  ASSERT_EQ(on_b->candidates.size(), on_a->candidates.size());
+  bool differs_from_a = false;
+  for (std::size_t i = 0; i < on_b->candidates.size(); ++i) {
+    const CandidateOutcome& got = on_b->candidates[i];
+    const CandidateOutcome& want = fresh_b->candidates[i];
+    EXPECT_EQ(got.plan, want.plan) << i;
+    EXPECT_EQ(got.predicted_ns, want.predicted_ns) << Name(got.plan);
+    EXPECT_EQ(got.measured_p99_ns, want.measured_p99_ns) << Name(got.plan);
+    differs_from_a |=
+        got.predicted_ns != on_a->candidates[i].predicted_ns;
+  }
+  EXPECT_EQ(on_b->best, fresh_b->best);
+  EXPECT_EQ(on_b->best_p99_ns, fresh_b->best_p99_ns);
+  // The traces differ, so a search that reused engine a's stage times
+  // would show here.
+  EXPECT_TRUE(differs_from_a);
 }
 
 TEST(TunerTest, FullCalibrationDominatesEveryStaticPlan) {
@@ -167,7 +184,7 @@ TEST(TunerTest, RespectsGpuAvailability) {
   Fixture f = MakeFixture();
   const auto requests = Arrivals(f.trace, 1.0e6);
   TunerOptions options = SmallSearch();
-  options.gpu_available = false;
+  options.space.allow_gpu = false;
   DataFlowTuner tuner(options);
   auto tuned = tuner.Tune(*f.engine, requests, Batcher());
   ASSERT_TRUE(tuned.ok());
@@ -182,6 +199,60 @@ TEST(TunerTest, RejectsAnEmptyStream) {
   DataFlowTuner tuner(SmallSearch());
   auto tuned = tuner.Tune(*f.engine, {}, Batcher());
   EXPECT_FALSE(tuned.ok());
+}
+
+TEST(TunerTest, RejectsInvalidGpuParams) {
+  Fixture f = MakeFixture();
+  TunerOptions options = SmallSearch();
+  options.gpu.mlp_efficiency = 0.0;
+  auto tuned = DataFlowTuner(options).Tune(
+      *f.engine, Arrivals(f.trace, 1.0e6), Batcher());
+  ASSERT_FALSE(tuned.ok());
+  EXPECT_EQ(tuned.status().code(), StatusCode::kInvalidArgument);
+}
+
+// The crossover the paper's DPU+GPU future work hinges on: with tiny
+// MLPs the PCIe + sync overheads make the GPU plan slower than
+// CPU-side MLPs; with wide stacks the GPU wins, and the tuner finds it.
+// Closed stream: every request arrives at t=0 and the batcher blocks,
+// so the makespan is the whole stream's service time.
+TEST(TunerTest, GpuPaysOffOnlyForHeavyDenseStacks) {
+  DataFlowPlan cpu_plan;
+  DataFlowPlan gpu_plan;
+  gpu_plan.bottom = Backend::kGpu;
+  gpu_plan.top = Backend::kGpu;
+  serve::BatcherOptions batcher = Batcher();
+  batcher.max_queue_delay_ns = 0.0;
+  batcher.policy = serve::AdmissionPolicy::kBlock;
+  const auto closed_stream = [](const trace::Trace& trace) {
+    std::vector<serve::Request> requests(trace.num_samples());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      requests[i] = serve::Request{i, i, 0.0};
+    }
+    return requests;
+  };
+  const auto makespan = [&](Fixture& f, const DataFlowPlan& plan) {
+    DataFlowServeOptions options;
+    options.batcher = batcher;
+    options.plan = plan;
+    auto run = RunDataFlowSimulation(*f.engine, closed_stream(f.trace),
+                                     nullptr, options);
+    UPDLRM_CHECK(run.ok() && run->shed == 0);
+    return run->makespan_ns;
+  };
+
+  Fixture tiny = MakeFixture({16}, {16});
+  EXPECT_LT(makespan(tiny, cpu_plan), makespan(tiny, gpu_plan));
+
+  const std::vector<std::uint32_t> wide = {4096, 4096, 4096};
+  Fixture heavy = MakeFixture(wide, wide);
+  EXPECT_GT(makespan(heavy, cpu_plan), makespan(heavy, gpu_plan));
+  auto tuned = DataFlowTuner(SmallSearch())
+                   .Tune(*heavy.engine, closed_stream(heavy.trace), batcher);
+  ASSERT_TRUE(tuned.ok()) << tuned.status().ToString();
+  EXPECT_TRUE(tuned->best.bottom == Backend::kGpu ||
+              tuned->best.top == Backend::kGpu)
+      << Name(tuned->best);
 }
 
 }  // namespace
